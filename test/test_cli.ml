@@ -284,7 +284,74 @@ let leakage_attribute_json =
              ((not clean) && total > 0))
       | _ -> Alcotest.fail "expected a JSON list of scheme entries")
 
+(* ---- goldens: the exact stdout of the paper workloads' subcommands,
+   text and --json, pinned byte for byte. Each golden lives in
+   test/golden/<name>; regenerate one with
+     dune exec bin/sempe_sim.exe -- ARGS > test/golden/<name>
+   (then re-mask the host-time fields of the sample goldens by hand). ---- *)
+
+let golden_dir = Filename.concat (Filename.dirname Sys.executable_name) "golden"
+
+(* Replace the text between the first [before] and the next [after] by
+   "*": host wall times are the only nondeterministic bytes. *)
+let mask ~before ~after s =
+  let find sub from =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length s then None
+      else if String.sub s i n = sub then Some i
+      else go (i + 1)
+    in
+    go from
+  in
+  match find before 0 with
+  | None -> s
+  | Some i -> (
+    let start = i + String.length before in
+    match find after start with
+    | None -> s
+    | Some stop ->
+      String.sub s 0 start ^ "*" ^ String.sub s stop (String.length s - stop))
+
+let golden_table =
+  let both name args =
+    [ (name ^ ".txt", args); (name ^ ".json", args @ [ "--json" ]) ]
+  in
+  [ ("config.txt", [ "config" ]) ]
+  @ both "microbench" [ "microbench" ]
+  @ both "microbench-sample" [ "microbench"; "--sample" ]
+  @ both "microbench-cte" [ "microbench"; "-s"; "cte" ]
+  @ both "microbench-ones" [ "microbench"; "-k"; "ones"; "-w"; "2"; "--leaf"; "3" ]
+  @ both "djpeg" [ "djpeg" ]
+  @ both "djpeg-gif" [ "djpeg"; "-f"; "GIF"; "-b"; "2" ]
+  @ both "djpeg-bmp-sample" [ "djpeg"; "-f"; "BMP"; "--sample" ]
+  @ both "rsa" [ "rsa" ]
+  @ both "rsa-sample" [ "rsa"; "--sample" ]
+  @ both "rsa-baseline" [ "rsa"; "-s"; "baseline" ]
+  @ both "profile-rsa" [ "profile"; "rsa" ]
+  @ both "profile-fibonacci" [ "profile"; "fibonacci" ]
+  @ both "profile-djpeg" [ "profile"; "djpeg" ]
+  @ both "leakage" [ "leakage"; "-j"; "1" ]
+  @ [ ("disasm-rsa.txt", [ "disasm"; "rsa" ]) ]
+  @ both "sample-fibonacci" [ "sample"; "fibonacci" ]
+
+let golden_case (file, args) =
+  Alcotest.test_case ("golden " ^ file) `Quick (fun () ->
+      let code, stdout = run sim_exe args in
+      Alcotest.(check int) (file ^ ": exit code") 0 code;
+      let stdout =
+        stdout
+        |> mask ~before:"instrs (" ~after:"s wall)"
+        |> mask ~before:"\"sampled_s\":" ~after:","
+      in
+      let expected =
+        In_channel.with_open_bin (Filename.concat golden_dir file)
+          In_channel.input_all
+      in
+      Alcotest.(check string) (file ^ ": stdout") expected stdout)
+
 let tests =
   List.map sim_case sim_table
+  @ List.map golden_case golden_table
   @ gate_table
   @ [ gate_malformed; trace_perfetto; leakage_attribute_json ]
