@@ -1,74 +1,27 @@
 (* Regenerates every table and figure of the paper's evaluation on the
    simulated substrate, then runs bechamel micro-benchmarks of the core
    data structures and a full-vs-sampled simulation-rate benchmark.
-   `dune exec bench/main.exe` prints everything; pass `quick` to shrink
-   the sweeps (CI-sized run) and `-j N` to fan the simulation grids out
-   to N worker domains (default: one per core; `-j 1` is the plain
-   sequential path). The rendered sections up to the micro-benchmarks are
-   byte-identical at any -j (the perf sections report wall-clock times,
-   so they print after the determinism cut). `--bench-json FILE` writes
-   the perf records as machine-readable JSON; `--runs N` (default 3)
-   takes the median of N timed repeats of each perf measurement. `gate
-   --baseline FILE [--current FILE] [--tolerance PCT] [--min-work N]`
-   compares two such record sets and exits non-zero on a rate regression
-   or on a record measured over fewer than N instructions — the CI perf
-   gate. *)
+
+     main.exe [quick] [-j N] [--runs N] [--bench-json FILE]
+     main.exe gate --baseline FILE [--current FILE] [--tolerance PCT]
+                   [--min-work N]
+
+   `dune exec bench/main.exe` prints everything; `quick` shrinks the
+   sweeps (CI-sized run) and `-j N` fans the simulation grids out to N
+   worker domains (default: one per core; `-j 1` is the plain
+   sequential path). The rendered sections up to the micro-benchmarks
+   are byte-identical at any -j (the perf sections report wall-clock
+   times, so they print after the determinism cut). `--bench-json FILE`
+   writes the perf records as machine-readable JSON; `--runs N`
+   (default 3) takes the median of N timed repeats of each perf
+   measurement. `gate` compares two such record sets and exits 1 on a
+   rate regression or on a record measured over fewer than N
+   instructions, 2 on malformed records — the CI perf gate. Usage
+   errors exit 124. *)
 
 module Config = Sempe_pipeline.Config
 module Tablefmt = Sempe_util.Tablefmt
 module Batch = Sempe_experiments.Batch
-
-let gate_mode = Array.exists (fun a -> a = "gate") Sys.argv
-
-(* Gate measurements are always CI-sized: the committed baseline is
-   captured from a `quick` run, and rates must be compared like for
-   like. *)
-let quick = gate_mode || Array.exists (fun a -> a = "quick") Sys.argv
-
-let jobs =
-  let rec scan i =
-    if i >= Array.length Sys.argv then None
-    else
-      let a = Sys.argv.(i) in
-      if (a = "-j" || a = "--jobs") && i + 1 < Array.length Sys.argv then
-        int_of_string_opt Sys.argv.(i + 1)
-      else if String.length a > 2 && String.sub a 0 2 = "-j" then
-        int_of_string_opt (String.sub a 2 (String.length a - 2))
-      else scan (i + 1)
-  in
-  match scan 1 with Some n -> n | None -> Batch.default_jobs ()
-
-let arg_after name =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
-    else scan (i + 1)
-  in
-  scan 1
-
-let bench_json = arg_after "--bench-json"
-
-let runs =
-  match arg_after "--runs" with
-  | None -> 3
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> n
-    | _ ->
-      Printf.eprintf "[bench] --runs expects a positive integer, got %S\n%!" s;
-      exit 2)
-
-let min_work =
-  match arg_after "--min-work" with
-  | None -> 100_000
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | _ ->
-      Printf.eprintf
-        "[gate] --min-work expects a non-negative instruction count, got %S\n%!"
-        s;
-      exit 2)
 
 let section title body =
   Printf.printf "==== %s ====\n%s\n\n%!" title body
@@ -78,12 +31,12 @@ let table2 () =
   section "Table II - baseline microarchitecture model"
     (Tablefmt.render ~header:[ "parameter"; "value" ] rows)
 
-let table1 () =
+let table1 ~quick =
   let iters = if quick then 1 else 2 in
   let rows = Sempe_experiments.Table1.measure ~width:10 ~iters () in
   section "Table I" (Sempe_experiments.Table1.render rows)
 
-let fig8_9 () =
+let fig8_9 ~quick =
   let sizes =
     if quick then
       [ { Sempe_workloads.Djpeg.label = "256k"; blocks = 4 };
@@ -94,7 +47,7 @@ let fig8_9 () =
   section "Figure 8" (Sempe_experiments.Djpeg_exp.render_fig8 cells);
   section "Figure 9" (Sempe_experiments.Djpeg_exp.render_fig9 cells)
 
-let fig10 () =
+let fig10 ~quick =
   let widths =
     if quick then [ 1; 2; 4 ] else List.init 10 (fun k -> k + 1)
   in
@@ -252,7 +205,7 @@ let perf_record_json r =
    numbers are nondeterministic, so this section prints after the
    determinism cut (the micro section's header) and never perturbs the
    -j sweep diff. *)
-let measure_perf () =
+let measure_perf ~quick ~runs =
   let sample_cfg coverage =
     { Sampling.default_config with Sampling.coverage }
   in
@@ -395,7 +348,7 @@ let measure_perf () =
    serving latency on a loaded CI box is not a rate the gate should hold
    the simulator to. They still clear the gate's min-work floor — the
    instruction counts are the sweep's real simulated work. *)
-let serve_perf () =
+let serve_perf ~quick ~runs =
   let module Server = Sempe_serve.Server in
   let module Client = Sempe_serve.Client in
   let module Api = Sempe_serve.Api in
@@ -525,7 +478,7 @@ let serve_perf () =
    single-daemon warm p50 is the price of the extra hop. Like the
    serve records, these ride in --bench-json but stay out of the
    committed baseline. *)
-let fleet_perf () =
+let fleet_perf ~quick ~runs =
   let module Server = Sempe_serve.Server in
   let module Router = Sempe_serve.Router in
   let module Client = Sempe_serve.Client in
@@ -650,10 +603,10 @@ let fleet_perf () =
   in
   (records, text)
 
-let perf () =
-  let records, smoke_failures = measure_perf () in
-  let serve_records, serve_text = serve_perf () in
-  let fleet_records, fleet_text = fleet_perf () in
+let perf ~quick ~runs ~bench_json =
+  let records, smoke_failures = measure_perf ~quick ~runs in
+  let serve_records, serve_text = serve_perf ~quick ~runs in
+  let fleet_records, fleet_text = fleet_perf ~quick ~runs in
   let records = records @ serve_records @ fleet_records in
   section "Simulation rate (full vs sampled, 25% coverage)"
     (Tablefmt.render
@@ -743,32 +696,16 @@ let gate_recs_of_file file =
     Printf.eprintf "[gate] %s: expected a JSON list of perf records\n%!" file;
     exit 2
 
-let run_gate () =
-  let baseline_file =
-    match arg_after "--baseline" with
-    | Some f -> f
-    | None ->
-      Printf.eprintf
-        "usage: bench/main.exe gate --baseline FILE [--current FILE] \
-         [--tolerance PCT] [--runs N] [--min-work N]\n%!";
-      exit 2
-  in
-  let tolerance =
-    match arg_after "--tolerance" with
-    | None -> 20.0
-    | Some s -> (
-      match float_of_string_opt s with
-      | Some t when t >= 0.0 -> t
-      | _ ->
-        Printf.eprintf "[gate] --tolerance expects a non-negative number, got %S\n%!" s;
-        exit 2)
-  in
+let run_gate ~baseline_file ~current ~tolerance ~min_work ~runs =
   let baseline = gate_recs_of_file baseline_file in
   let current, current_src =
-    match arg_after "--current" with
+    match current with
     | Some f -> (gate_recs_of_file f, f)
     | None ->
-      let records, smokes = measure_perf () in
+      (* Gate measurements are always CI-sized: the committed baseline is
+         captured from a `quick` run, and rates must be compared like for
+         like. *)
+      let records, smokes = measure_perf ~quick:true ~runs in
       List.iter (Printf.eprintf "[gate] sampling smoke FAILED: %s\n%!") smokes;
       if smokes <> [] then exit 1;
       ( List.map
@@ -850,13 +787,7 @@ let run_gate () =
     exit 1
   end
 
-let () =
-  if gate_mode then begin
-    Batch.set_jobs jobs;
-    run_gate ();
-    exit 0
-  end;
-  Batch.set_jobs jobs;
+let harness ~quick ~runs ~bench_json =
   (* stderr, so section output stays byte-identical across -j values *)
   if Batch.jobs () > 1 then
     Printf.eprintf "[bench] fanning sweeps out to %d worker domains\n%!"
@@ -864,9 +795,9 @@ let () =
   Printf.printf "SeMPE reproduction benchmark harness%s\n\n%!"
     (if quick then " (quick mode)" else "");
   table2 ();
-  table1 ();
-  fig8_9 ();
-  fig10 ();
+  table1 ~quick;
+  fig8_9 ~quick;
+  fig10 ~quick;
   security ();
   ablations ();
   (* stderr again: job-timing telemetry must not perturb the -j diff *)
@@ -881,4 +812,112 @@ let () =
          t.Batch.jobs_run t.Batch.wall_s t.Batch.throughput t.Batch.mean_s
          t.Batch.p50_s t.Batch.p95_s t.Batch.max_s);
   micro ();
-  perf ()
+  perf ~quick ~runs ~bench_json
+
+(* ---- command line ---- *)
+
+open Cmdliner
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Worker domains for the simulation sweeps (default: one per \
+           core; 1 is the plain sequential path).")
+
+let set_jobs jobs =
+  Batch.set_jobs (Option.value jobs ~default:(Batch.default_jobs ()))
+
+let runs_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(
+    value & opt positive 3
+    & info [ "runs" ] ~docv:"N"
+        ~doc:"Timed repeats per perf measurement; the median is reported.")
+
+let harness_term ~quick =
+  let run jobs runs bench_json =
+    set_jobs jobs;
+    harness ~quick ~runs ~bench_json
+  in
+  let bench_json =
+    Arg.(
+      value & opt (some string) None
+      & info [ "bench-json" ] ~docv:"FILE"
+          ~doc:"Write the perf records as a JSON list to $(docv).")
+  in
+  Term.(const run $ jobs_arg $ runs_arg $ bench_json)
+
+let quick_cmd =
+  Cmd.v
+    (Cmd.info "quick" ~doc:"CI-sized run: shrunken sweeps, same sections.")
+    (harness_term ~quick:true)
+
+let gate_cmd =
+  let run jobs runs baseline_file current tolerance min_work =
+    set_jobs jobs;
+    if tolerance < 0.0 then begin
+      Printf.eprintf "[gate] --tolerance expects a non-negative number, got %g\n%!"
+        tolerance;
+      exit 2
+    end;
+    run_gate ~baseline_file ~current ~tolerance ~min_work ~runs
+  in
+  let baseline =
+    Arg.(
+      required & opt (some string) None
+      & info [ "baseline" ] ~docv:"FILE" ~doc:"Committed perf records.")
+  in
+  let current =
+    Arg.(
+      value & opt (some string) None
+      & info [ "current" ] ~docv:"FILE"
+          ~doc:"Perf records to judge (default: a fresh quick measurement).")
+  in
+  let tolerance =
+    Arg.(
+      value & opt float 20.0
+      & info [ "tolerance" ] ~docv:"PCT"
+          ~doc:"Allowed rate drop below the baseline, in percent.")
+  in
+  let min_work =
+    let non_negative =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok n
+        | _ ->
+          Error
+            (`Msg (Printf.sprintf "expected a non-negative instruction count, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(
+      value & opt non_negative 100_000
+      & info [ "min-work" ] ~docv:"N"
+          ~doc:"Fail any current record measured over fewer instructions.")
+  in
+  Cmd.v
+    (Cmd.info "gate"
+       ~doc:
+         "Compare perf records against a baseline; exit 1 on a rate \
+          regression past the tolerance, a missing record or a record \
+          below the measured-work floor, 2 on malformed records.")
+    Term.(
+      const run $ jobs_arg $ runs_arg $ baseline $ current $ tolerance
+      $ min_work)
+
+let () =
+  exit
+    (Cmd.eval
+       (Cmd.group ~default:(harness_term ~quick:false)
+          (Cmd.info "main" ~doc:"SeMPE reproduction benchmark harness.")
+          [ quick_cmd; gate_cmd ]))

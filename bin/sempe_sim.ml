@@ -9,14 +9,11 @@ module Run = Sempe_core.Run
 module Timing = Sempe_pipeline.Timing
 module Config = Sempe_pipeline.Config
 module Harness = Sempe_workloads.Harness
-module MB = Sempe_workloads.Microbench
 module Kernels = Sempe_workloads.Kernels
-module Djpeg = Sempe_workloads.Djpeg
 module Rsa = Sempe_workloads.Rsa
 module Tablefmt = Sempe_util.Tablefmt
 module Json = Sempe_obs.Json
 module Report = Sempe_obs.Report
-module Profile = Sempe_obs.Profile
 module Sink = Sempe_obs.Sink
 module Sampling = Sempe_sampling.Sampling
 module Pool = Sempe_util.Pool
@@ -26,6 +23,7 @@ module Router = Sempe_serve.Router
 module Client = Sempe_serve.Client
 module Loadgen = Sempe_serve.Loadgen
 module Subproc = Sempe_util.Subproc
+module Batch = Sempe_experiments.Batch
 
 let scheme_conv =
   let parse s =
@@ -58,8 +56,7 @@ let jobs_arg =
            means one per core; 1 forces the sequential path.")
 
 let set_jobs j =
-  Sempe_experiments.Batch.set_jobs
-    (if j <= 0 then Sempe_experiments.Batch.default_jobs () else j)
+  Batch.set_jobs (if j <= 0 then Batch.default_jobs () else j)
 
 let json_arg =
   Arg.(
@@ -74,45 +71,28 @@ let progress_arg =
           "Write sweep progress and per-job timing telemetry to stderr \
            (stdout output is unaffected).")
 
-let print_sweep_telemetry () =
-  match Sempe_experiments.Batch.telemetry () with
-  | None -> ()
-  | Some t ->
-    Printf.eprintf
-      "[sweep] %d jobs, %.2fs wall, %.1f jobs/s; per-job mean %.3fs, p50 \
-       %.3fs, p95 %.3fs, max %.3fs\n\
-       %!"
-      t.Sempe_experiments.Batch.jobs_run t.Sempe_experiments.Batch.wall_s
-      t.Sempe_experiments.Batch.throughput t.Sempe_experiments.Batch.mean_s
-      t.Sempe_experiments.Batch.p50_s t.Sempe_experiments.Batch.p95_s
-      t.Sempe_experiments.Batch.max_s
-
 let with_progress progress f =
-  Sempe_experiments.Batch.set_progress progress;
+  Batch.set_progress progress;
   let r = f () in
-  if progress then print_sweep_telemetry ();
+  (if progress then
+     match Batch.telemetry () with
+     | None -> ()
+     | Some t ->
+       Printf.eprintf
+         "[sweep] %d jobs, %.2fs wall, %.1f jobs/s; per-job mean %.3fs, p50 \
+          %.3fs, p95 %.3fs, max %.3fs\n\
+          %!"
+         t.Batch.jobs_run t.Batch.wall_s t.Batch.throughput t.Batch.mean_s
+         t.Batch.p50_s t.Batch.p95_s t.Batch.max_s);
   r
 
-let print_report (r : Timing.report) =
-  Tablefmt.print ~header:[ "metric"; "value" ]
-    [
-      [ "instructions"; string_of_int r.Timing.instructions ];
-      [ "cycles"; string_of_int r.Timing.cycles ];
-      [ "CPI"; Tablefmt.fixed 3 r.Timing.cpi ];
-      [ "time @2GHz"; Printf.sprintf "%.1f us" (Run.seconds Config.default r.Timing.cycles *. 1e6) ];
-      [ "cond. branches"; string_of_int r.Timing.cond_branches ];
-      [ "mispredicts"; string_of_int r.Timing.mispredicts ];
-      [ "secure branches (sJMP)"; string_of_int r.Timing.secure_branches ];
-      [ "pipeline drains"; string_of_int r.Timing.drains ];
-      [ "SPM transfer cycles"; string_of_int r.Timing.spm_cycles ];
-      [ "loads / stores";
-        Printf.sprintf "%d / %d" r.Timing.loads r.Timing.stores ];
-      [ "IL1 miss rate"; Tablefmt.percent r.Timing.il1_miss_rate ];
-      [ "DL1 miss rate"; Tablefmt.percent r.Timing.dl1_miss_rate ];
-      [ "L2 miss rate"; Tablefmt.percent r.Timing.l2_miss_rate ];
-    ]
-
 let print_json j = print_endline (Json.to_string j)
+
+(* Both views of one [Api.run] value: whichever the user asked for is
+   printed, and the daemon serves the JSON one. *)
+let print_result json result =
+  if json then print_json (Api.to_json result)
+  else print_string (Api.render result)
 
 (* ---- sampled-simulation options shared by the workload commands ---- *)
 
@@ -151,31 +131,6 @@ let warmup_arg =
     & info [ "warmup" ] ~docv:"N"
         ~doc:"Detailed warmup instructions before each measured interval.")
 
-let sample_config ~interval ~coverage ~warmup =
-  { Sampling.default_config with Sampling.interval; coverage; warmup }
-
-let print_estimate (e : Sampling.estimate) =
-  Tablefmt.print ~header:[ "metric"; "value" ]
-    [
-      [ "instructions"; string_of_int e.Sampling.instructions ];
-      [ "cycles (estimate)"; string_of_int e.Sampling.cycles_estimate ];
-      [ "90% band";
-        Printf.sprintf "[%d, %d]" e.Sampling.cycles_low e.Sampling.cycles_high ];
-      [ "CPI"; Tablefmt.fixed 3 e.Sampling.cpi ];
-      [ "intervals measured";
-        Printf.sprintf "%d / %d" e.Sampling.intervals_measured
-          e.Sampling.intervals_total ];
-      [ "instructions measured";
-        Printf.sprintf "%d (%.1f%%)" e.Sampling.measured_instructions
-          (100.
-          *. float_of_int e.Sampling.measured_instructions
-          /. float_of_int (max 1 e.Sampling.instructions)) ];
-      [ "exact"; (if e.Sampling.exact then "yes (full coverage)" else "no") ];
-      [ "checkpoint volume";
-        Printf.sprintf "%.1f KiB"
-          (float_of_int e.Sampling.checkpoint_bytes /. 1024.) ];
-    ]
-
 (* ---- config ---- *)
 
 let config_cmd =
@@ -186,247 +141,7 @@ let config_cmd =
   Cmd.v (Cmd.info "config" ~doc:"Print the Table II machine model.")
     Term.(const run $ const ())
 
-(* ---- microbench ---- *)
-
-let kernel_conv =
-  let parse s =
-    match Kernels.by_name s with
-    | Some k -> Ok k
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown kernel %S (expected: %s)" s
-              (String.concat ", "
-                 (List.map (fun k -> k.Kernels.name) Kernels.all))))
-  in
-  Arg.conv (parse, fun fmt k -> Format.pp_print_string fmt k.Kernels.name)
-
-let ct_of_scheme = function
-  | Scheme.Cte | Scheme.Raccoon | Scheme.Mto -> true
-  | Scheme.Baseline | Scheme.Sempe | Scheme.Sempe_on_legacy -> false
-
-let microbench_cmd =
-  let run scheme kernel width iters leaf strict sample interval coverage warmup
-      json =
-    (* The JSON branches go through the serving API so the daemon's
-       responses are byte-identical to this CLI by construction. *)
-    if json then
-      let workload =
-        Api.Microbench { kernel = kernel.Kernels.name; width; iters; leaf }
-      in
-      print_json
-        (Api.perform
-           (if sample then
-              Api.Sample
-                { scheme; workload; strict_oob = strict;
-                  params = { Api.interval; coverage; warmup } }
-            else Api.Simulate { scheme; workload; strict_oob = strict }))
-    else
-    let spec = { MB.kernel; width; iters } in
-    let src = MB.program ~ct:(ct_of_scheme scheme) spec in
-    let secrets = MB.secrets_for_leaf ~width ~leaf in
-    let built = Harness.build scheme src in
-    let forgiving_oob = not strict in
-    if sample then begin
-      let config = sample_config ~interval ~coverage ~warmup in
-      let est = Harness.sample ~forgiving_oob ~globals:secrets ~config built in
-      begin
-        Printf.printf
-          "microbenchmark %s, W=%d, iters=%d, scheme=%s, true leaf=%d (sampled)\n\n"
-          kernel.Kernels.name width iters (Scheme.name scheme) leaf;
-        print_estimate est
-      end
-    end
-    else begin
-      let outcome = Harness.run ~forgiving_oob ~globals:secrets built in
-      let base =
-        Harness.run ~forgiving_oob ~globals:secrets
-          (Harness.build Scheme.Baseline (MB.program ~ct:false spec))
-      in
-      let slowdown = Run.overhead ~baseline:base outcome in
-      begin
-        Printf.printf "microbenchmark %s, W=%d, iters=%d, scheme=%s, true leaf=%d\n"
-          kernel.Kernels.name width iters (Scheme.name scheme) leaf;
-        Printf.printf "checksum = %d\n\n" (Harness.return_value outcome);
-        print_report outcome.Run.timing;
-        Printf.printf "\nslowdown vs baseline: %s\n" (Tablefmt.times slowdown)
-      end
-    end
-  in
-  let kernel =
-    Arg.(
-      value & opt kernel_conv Kernels.fibonacci
-      & info [ "kernel"; "k" ] ~docv:"KERNEL" ~doc:"Workload kernel.")
-  in
-  let width =
-    Arg.(value & opt int 4 & info [ "width"; "w" ] ~docv:"W" ~doc:"Nesting width W.")
-  in
-  let iters =
-    Arg.(value & opt int 3 & info [ "iters"; "i" ] ~docv:"N" ~doc:"Iterations.")
-  in
-  let leaf =
-    Arg.(value & opt int 1 & info [ "leaf" ] ~docv:"N" ~doc:"True leaf (1..W+1).")
-  in
-  Cmd.v
-    (Cmd.info "microbench" ~doc:"Run the Figure 7 nested-chain microbenchmark.")
-    Term.(
-      const run $ scheme_arg $ kernel $ width $ iters $ leaf $ strict_oob_arg
-      $ sample_flag $ interval_arg $ coverage_arg $ warmup_arg $ json_arg)
-
-(* ---- djpeg ---- *)
-
-let djpeg_format = function
-  | "PPM" -> Djpeg.Ppm
-  | "GIF" -> Djpeg.Gif
-  | "BMP" -> Djpeg.Bmp
-  | other -> failwith (Printf.sprintf "unknown format %S" other)
-
-let djpeg_cmd =
-  let run scheme fmt_name blocks seed strict sample interval coverage warmup
-      json =
-    let fmt = djpeg_format (String.uppercase_ascii fmt_name) in
-    if json then
-      let workload =
-        Api.Djpeg { format = Djpeg.format_name fmt; blocks; seed }
-      in
-      print_json
-        (Api.perform
-           (if sample then
-              Api.Sample
-                { scheme; workload; strict_oob = strict;
-                  params = { Api.interval; coverage; warmup } }
-            else Api.Simulate { scheme; workload; strict_oob = strict }))
-    else
-    let built = Harness.build scheme (Djpeg.program fmt) in
-    let globals, arrays = Djpeg.inputs fmt ~seed ~blocks in
-    let forgiving_oob = not strict in
-    if sample then begin
-      let config = sample_config ~interval ~coverage ~warmup in
-      let est =
-        Harness.sample ~forgiving_oob ~globals ~arrays ~config built
-      in
-      Printf.printf "djpeg -> %s, %d blocks, scheme=%s, image seed=%d (sampled)\n\n"
-        (Djpeg.format_name fmt) blocks (Scheme.name scheme) seed;
-      print_estimate est
-    end
-    else begin
-      let outcome = Harness.run ~forgiving_oob ~globals ~arrays built in
-      Printf.printf "djpeg -> %s, %d blocks, scheme=%s, image seed=%d\n"
-        (Djpeg.format_name fmt) blocks (Scheme.name scheme) seed;
-      Printf.printf "checksum = %d\n\n" (Harness.return_value outcome);
-      print_report outcome.Run.timing
-    end
-  in
-  let fmt =
-    Arg.(value & opt string "PPM" & info [ "format"; "f" ] ~docv:"FMT" ~doc:"PPM, GIF or BMP.")
-  in
-  let blocks =
-    Arg.(value & opt int 8 & info [ "blocks"; "b" ] ~docv:"N" ~doc:"8x8 blocks to decode.")
-  in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Secret image seed.")
-  in
-  Cmd.v (Cmd.info "djpeg" ~doc:"Run the synthetic djpeg decoder.")
-    Term.(
-      const run $ scheme_arg $ fmt $ blocks $ seed $ strict_oob_arg
-      $ sample_flag $ interval_arg $ coverage_arg $ warmup_arg $ json_arg)
-
-(* ---- rsa ---- *)
-
-let rsa_cmd =
-  let run scheme key strict sample interval coverage warmup json =
-    if json then
-      let workload = Api.Rsa { key } in
-      print_json
-        (Api.perform
-           (if sample then
-              Api.Sample
-                { scheme; workload; strict_oob = strict;
-                  params = { Api.interval; coverage; warmup } }
-            else Api.Simulate { scheme; workload; strict_oob = strict }))
-    else
-    let built = Harness.build scheme Rsa.program in
-    let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
-    let forgiving_oob = not strict in
-    if sample then begin
-      let config = sample_config ~interval ~coverage ~warmup in
-      let est =
-        Harness.sample ~forgiving_oob ~globals ~arrays ~config built
-      in
-      Printf.printf "modexp (Figure 1), key=0x%04x, scheme=%s (sampled)\n\n"
-        key (Scheme.name scheme);
-      print_estimate est
-    end
-    else begin
-      let outcome = Harness.run ~forgiving_oob ~globals ~arrays built in
-      let expected = Rsa.reference ~key ~base:1234 ~modulus:99991 in
-      Printf.printf "modexp (Figure 1), key=0x%04x, scheme=%s\n" key
-        (Scheme.name scheme);
-      Printf.printf "result = %d (expected %d)\n\n"
-        (Harness.return_value outcome) expected;
-      print_report outcome.Run.timing
-    end
-  in
-  let key =
-    Arg.(value & opt int 0x1234 & info [ "key" ] ~docv:"KEY" ~doc:"Secret exponent.")
-  in
-  Cmd.v (Cmd.info "rsa" ~doc:"Run RSA modular exponentiation (Figure 1).")
-    Term.(
-      const run $ scheme_arg $ key $ strict_oob_arg $ sample_flag
-      $ interval_arg $ coverage_arg $ warmup_arg $ json_arg)
-
-(* ---- profile / trace: shared workload selector ---- *)
-
-(* [rsa], [djpeg], or a microbenchmark kernel name; each returns the
-   source program, its initial state, and a one-line description. *)
-let workload scheme which ~width ~iters ~leaf ~blocks ~seed ~key =
-  match String.lowercase_ascii which with
-  | "rsa" ->
-    let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
-    (Rsa.program, globals, arrays, Printf.sprintf "rsa key=0x%04x" key)
-  | "djpeg" ->
-    let fmt = Djpeg.Ppm in
-    let globals, arrays = Djpeg.inputs fmt ~seed ~blocks in
-    ( Djpeg.program fmt,
-      globals,
-      arrays,
-      Printf.sprintf "djpeg PPM blocks=%d seed=%d" blocks seed )
-  | other -> (
-    match Kernels.by_name other with
-    | Some kernel ->
-      let spec = { MB.kernel; width; iters } in
-      ( MB.program ~ct:(ct_of_scheme scheme) spec,
-        MB.secrets_for_leaf ~width ~leaf,
-        [],
-        Printf.sprintf "%s W=%d iters=%d leaf=%d" kernel.Kernels.name width
-          iters leaf )
-    | None ->
-      Printf.eprintf "unknown workload %S (rsa, djpeg, or a kernel: %s)\n"
-        other
-        (String.concat ", " (List.map (fun k -> k.Kernels.name) Kernels.all));
-      exit 1)
-
-(* The serving-API mirror of [workload]: the same selector semantics,
-   producing an {!Api.workload} value (the profile/djpeg selector is
-   always PPM, like [workload]). *)
-let api_workload which ~width ~iters ~leaf ~blocks ~seed ~key =
-  match String.lowercase_ascii which with
-  | "rsa" -> Api.Rsa { key }
-  | "djpeg" -> Api.Djpeg { format = "PPM"; blocks; seed }
-  | other -> (
-    match Kernels.by_name other with
-    | Some kernel ->
-      Api.Microbench { kernel = kernel.Kernels.name; width; iters; leaf }
-    | None ->
-      Printf.eprintf "unknown workload %S (rsa, djpeg, or a kernel: %s)\n"
-        other
-        (String.concat ", " (List.map (fun k -> k.Kernels.name) Kernels.all));
-      exit 1)
-
-let workload_arg =
-  Arg.(
-    value & pos 0 string "rsa"
-    & info [] ~docv:"WORKLOAD" ~doc:"rsa, djpeg, or a microbenchmark kernel name.")
+(* ---- workloads: flags, the selector, and the range check ---- *)
 
 let width_arg =
   Arg.(value & opt int 4 & info [ "width"; "w" ] ~docv:"W" ~doc:"Nesting width W (kernels).")
@@ -435,7 +150,7 @@ let iters_arg =
   Arg.(value & opt int 3 & info [ "iters"; "i" ] ~docv:"N" ~doc:"Iterations (kernels).")
 
 let leaf_arg =
-  Arg.(value & opt int 1 & info [ "leaf" ] ~docv:"N" ~doc:"True leaf (kernels).")
+  Arg.(value & opt int 1 & info [ "leaf" ] ~docv:"N" ~doc:"True leaf, 1..W+1 (kernels).")
 
 let blocks_arg =
   Arg.(value & opt int 8 & info [ "blocks"; "b" ] ~docv:"N" ~doc:"8x8 blocks (djpeg).")
@@ -444,19 +159,94 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Image seed (djpeg).")
 
 let key_arg =
-  Arg.(value & opt int 0x1234 & info [ "key" ] ~docv:"KEY" ~doc:"Secret exponent (rsa).")
+  Arg.(value & opt int Rsa.default_key & info [ "key" ] ~docv:"KEY" ~doc:"Secret exponent (rsa).")
+
+(* [rsa], [djpeg] (always PPM) or a microbenchmark kernel name. *)
+let select which ~width ~iters ~leaf ~blocks ~seed ~key =
+  match String.lowercase_ascii which with
+  | "rsa" -> Api.check_workload (Api.Rsa { key })
+  | "djpeg" -> Api.check_workload (Api.Djpeg { format = "PPM"; blocks; seed })
+  | kernel when Kernels.by_name kernel <> None ->
+    Api.check_workload (Api.Microbench { kernel; width; iters; leaf })
+  | _ ->
+    Error
+      (Printf.sprintf "unknown workload %S (rsa, djpeg, or a kernel: %s)" which
+         (String.concat ", " (List.map (fun k -> k.Kernels.name) Kernels.all)))
+
+(* Selection and range errors exit 124 with their message, like every
+   usage error. *)
+let selected_workload which =
+  Term.term_result'
+    Term.(
+      const (fun which width iters leaf blocks seed key ->
+          select which ~width ~iters ~leaf ~blocks ~seed ~key)
+      $ which $ width_arg $ iters_arg $ leaf_arg $ blocks_arg $ seed_arg
+      $ key_arg)
+
+let workload_pos =
+  selected_workload
+    Arg.(
+      value & pos 0 string "rsa"
+      & info [] ~docv:"WORKLOAD" ~doc:"rsa, djpeg, or a microbenchmark kernel name.")
+
+(* ---- microbench / djpeg / rsa: the paper's three workloads ---- *)
+
+(* [workload] is the subcommand's own flags; out-of-range values exit 124
+   with the message of [Api.check_workload], the same check the daemon's
+   request decoder applies. *)
+let workload_cmd name ~doc workload =
+  let run scheme workload strict_oob sample interval coverage warmup json =
+    print_result json
+      (Api.run
+         (if sample then
+            Api.Sample
+              { scheme; workload; strict_oob;
+                params = { Api.interval; coverage; warmup } }
+          else Api.Simulate { scheme; workload; strict_oob }))
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ scheme_arg
+      $ Term.term_result' (Term.map Api.check_workload workload)
+      $ strict_oob_arg $ sample_flag $ interval_arg $ coverage_arg $ warmup_arg
+      $ json_arg)
+
+let microbench_cmd =
+  let kernel =
+    Arg.(
+      value & opt string Kernels.fibonacci.Kernels.name
+      & info [ "kernel"; "k" ] ~docv:"KERNEL" ~doc:"Workload kernel.")
+  in
+  workload_cmd "microbench" ~doc:"Run the Figure 7 nested-chain microbenchmark."
+    Term.(
+      const (fun kernel width iters leaf ->
+          Api.Microbench { kernel; width; iters; leaf })
+      $ kernel $ width_arg $ iters_arg $ leaf_arg)
+
+let djpeg_cmd =
+  let format =
+    Arg.(value & opt string "PPM" & info [ "format"; "f" ] ~docv:"FMT" ~doc:"PPM, GIF or BMP.")
+  in
+  workload_cmd "djpeg" ~doc:"Run the synthetic djpeg decoder."
+    Term.(
+      const (fun format blocks seed -> Api.Djpeg { format; blocks; seed })
+      $ format $ blocks_arg $ seed_arg)
+
+let rsa_cmd =
+  workload_cmd "rsa" ~doc:"Run RSA modular exponentiation (Figure 1)."
+    Term.(const (fun key -> Api.Rsa { key }) $ key_arg)
 
 (* ---- sample ---- *)
 
 let sample_cmd =
-  let run scheme which width iters leaf blocks seed key interval coverage
-      warmup jobs strict compare json =
-    let src, globals, arrays, desc =
-      workload scheme which ~width ~iters ~leaf ~blocks ~seed ~key
-    in
-    let built = Harness.build scheme src in
+  let run scheme workload interval coverage warmup jobs strict compare json =
+    let built = Api.build scheme workload in
+    let globals, arrays = Api.inputs workload in
+    let desc = Api.describe workload in
     let forgiving_oob = not strict in
-    let config = sample_config ~interval ~coverage ~warmup in
+    let config =
+      { Sampling.default_config with Sampling.interval; coverage; warmup }
+    in
     let workers = if jobs <= 0 then None else Some jobs in
     (* --compare-full: also run the ordinary detailed simulation so the
        estimate's error and the wall-clock speedup can be read off
@@ -506,7 +296,7 @@ let sample_cmd =
         interval
         (Tablefmt.percent coverage)
         warmup sampled_s;
-      print_estimate est;
+      print_endline (Sampling.render est);
       match reference with
       | None -> ()
       | Some (full, full_s) ->
@@ -537,48 +327,14 @@ let sample_cmd =
           with a confidence band. Performance only: leakage/security \
           analyses need full runs.")
     Term.(
-      const run $ scheme_arg $ workload_arg $ width_arg $ iters_arg $ leaf_arg
-      $ blocks_arg $ seed_arg $ key_arg $ interval_arg $ coverage_arg
+      const run $ scheme_arg $ workload_pos $ interval_arg $ coverage_arg
       $ warmup_arg $ jobs_arg $ strict_oob_arg $ compare_arg $ json_arg)
 
 (* ---- profile ---- *)
 
 let profile_cmd =
-  let run scheme which width iters leaf blocks seed key top json =
-    if json then
-      print_json
-        (Api.perform
-           (Api.Profile
-              {
-                scheme;
-                workload =
-                  api_workload which ~width ~iters ~leaf ~blocks ~seed ~key;
-                top;
-              }))
-    else
-    let src, globals, arrays, desc =
-      workload scheme which ~width ~iters ~leaf ~blocks ~seed ~key
-    in
-    let built = Harness.build scheme src in
-    let profile = Profile.create () in
-    let sink = Sink.of_probe (Profile.probe profile) in
-    let outcome = Harness.run ~globals ~arrays ~sink built in
-    sink.Sink.close ();
-    let report = outcome.Run.timing in
-    begin
-      Printf.printf "profile: %s, scheme=%s\n\n" desc (Scheme.name scheme);
-      print_report report;
-      print_newline ();
-      print_string (Report.render_stall_stack report);
-      print_newline ();
-      let code = built.Harness.prog.Sempe_isa.Program.code in
-      let resolve pc =
-        if pc >= 0 && pc < Array.length code then
-          Sempe_isa.Instr.to_string code.(pc)
-        else "?"
-      in
-      print_string (Profile.render ~n:top ~resolve profile)
-    end
+  let run scheme workload top json =
+    print_result json (Api.run (Api.Profile { scheme; workload; top }))
   in
   let top =
     Arg.(
@@ -591,18 +347,14 @@ let profile_cmd =
          "Run a workload with the per-PC profiler attached: CPI stall \
           stack, top mispredicting branches, top DL1-missing loads, and \
           per-sJMP drain costs.")
-    Term.(
-      const run $ scheme_arg $ workload_arg $ width_arg $ iters_arg
-      $ leaf_arg $ blocks_arg $ seed_arg $ key_arg $ top $ json_arg)
+    Term.(const run $ scheme_arg $ workload_pos $ top $ json_arg)
 
 (* ---- trace ---- *)
 
 let trace_cmd =
-  let run scheme which width iters leaf blocks seed key out jsonl =
-    let src, globals, arrays, desc =
-      workload scheme which ~width ~iters ~leaf ~blocks ~seed ~key
-    in
-    let built = Harness.build scheme src in
+  let run scheme workload out jsonl =
+    let built = Api.build scheme workload in
+    let globals, arrays = Api.inputs workload in
     let oc = open_out out in
     let sink = if jsonl then Sink.jsonl oc else Sink.perfetto oc in
     let outcome =
@@ -613,7 +365,8 @@ let trace_cmd =
         (fun () -> Harness.run ~globals ~arrays ~sink built)
     in
     let r = outcome.Run.timing in
-    Printf.printf "trace: %s, scheme=%s\n" desc (Scheme.name scheme);
+    Printf.printf "trace: %s, scheme=%s\n" (Api.describe workload)
+      (Scheme.name scheme);
     Printf.printf "wrote %s (%d instructions, %d cycles)\n" out
       r.Timing.instructions r.Timing.cycles;
     if not jsonl then
@@ -640,35 +393,22 @@ let trace_cmd =
          "Run a workload with the per-instruction pipeline tracer attached \
           and write a Perfetto-loadable trace (fetch, dispatch, issue, \
           complete, commit spans).")
-    Term.(
-      const run $ scheme_arg $ workload_arg $ width_arg $ iters_arg
-      $ leaf_arg $ blocks_arg $ seed_arg $ key_arg $ out $ jsonl)
+    Term.(const run $ scheme_arg $ workload_pos $ out $ jsonl)
 
 (* ---- leakage ---- *)
 
 let leakage_cmd =
   let module Leakage = Sempe_security.Leakage in
   let module Attribution = Sempe_security.Attribution in
+  let module Security_exp = Sempe_experiments.Security_exp in
   let run jobs json progress attribute channel_names trace_out =
     set_jobs jobs;
     if (not attribute) && (channel_names <> [] || trace_out <> None) then begin
       Printf.eprintf "--channel and --trace-out require --attribute\n";
       exit 124
     end;
-    if not attribute then begin
-      if json then
-        (* Through the serving API: daemon leakage responses are
-           byte-identical to this document by construction. *)
-        print_json (with_progress progress (fun () -> Api.perform Api.Leakage))
-      else begin
-        let results =
-          with_progress progress (fun () ->
-              Sempe_experiments.Security_exp.measure ())
-        in
-        print_string (Sempe_experiments.Security_exp.render results);
-        print_newline ()
-      end
-    end
+    if not attribute then
+      print_result json (with_progress progress (fun () -> Api.run Api.Leakage))
     else begin
       (* --channel names go through the Leakage channel vocabulary (the
          same names `fuzz --oracle trace` failures report) and map onto
@@ -691,15 +431,14 @@ let leakage_cmd =
                names)
       in
       let results =
-        with_progress progress (fun () ->
-            Sempe_experiments.Security_exp.measure_attribution ())
+        with_progress progress (fun () -> Security_exp.measure_attribution ())
       in
       (match trace_out with
        | None -> ()
        | Some dir ->
          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
          List.iter
-           (fun (r : Sempe_experiments.Security_exp.attribution_result) ->
+           (fun (r : Security_exp.attribution_result) ->
              let file =
                Filename.concat dir (Scheme.name r.a_scheme ^ ".json")
              in
@@ -714,14 +453,8 @@ let leakage_cmd =
                    oc r.a_attribution r.a_witnesses);
              Printf.eprintf "wrote %s\n%!" file)
            results);
-      if json then
-        print_json
-          (Sempe_experiments.Security_exp.attribution_to_json ?channels
-             results)
-      else
-        print_string
-          (Sempe_experiments.Security_exp.render_attribution ?channels
-             results)
+      if json then print_json (Security_exp.attribution_to_json ?channels results)
+      else print_string (Security_exp.render_attribution ?channels results)
     end
   in
   let attribute =
@@ -852,7 +585,7 @@ let asm_run_cmd =
         res.Sempe_core.Exec.dyn_instrs
         res.Sempe_core.Exec.regs.(Sempe_isa.Reg.rv)
         res.Sempe_core.Exec.max_nesting;
-      print_report (Timing.report timing)
+      print_endline (Report.render (Timing.report timing))
     end
   in
   let path =
@@ -925,36 +658,7 @@ let fuzz_cmd =
       (List.length outcome.Fuzz.failures)
       outcome.Fuzz.wall_s workers;
     if json then print_json (Fuzz.to_json outcome)
-    else begin
-      Printf.printf
-        "fuzz: seed %d, %d cases executed, %d execution shapes, oracles: %s\n"
-        seed outcome.Fuzz.executed outcome.Fuzz.features
-        (String.concat ", " (List.map (fun o -> o.Oracle.name) oracles));
-      match outcome.Fuzz.failures with
-      | [] -> print_endline "no oracle violations"
-      | fs ->
-        List.iter
-          (fun f ->
-            Printf.printf
-              "\nFAIL [%s] seed %d (%s): %s\n\
-               minimized %d -> %d statements (%d static instructions, %d \
-               minimizer trials)%s\n\
-               %s\n"
-              f.Fuzz.f_oracle f.Fuzz.f_seed
-              (Fuzz.origin_name f.Fuzz.f_origin)
-              f.Fuzz.f_message f.Fuzz.f_size f.Fuzz.f_min_size
-              f.Fuzz.f_min_instrs f.Fuzz.f_trials
-              (match f.Fuzz.f_repro with
-               | None -> ""
-               | Some p -> Printf.sprintf "\nreproducer: %s" p)
-              f.Fuzz.f_source;
-            match f.Fuzz.f_attribution with
-            | None -> ()
-            | Some a ->
-              Printf.printf "leakage attribution (%s):\n%s" a.Fuzz.a_comparison
-                a.Fuzz.a_text)
-          fs
-    end;
+    else print_string (Fuzz.render config outcome);
     if outcome.Fuzz.failures <> [] then exit 1
   in
   let seed =
@@ -1031,27 +735,24 @@ let fuzz_cmd =
 (* ---- disasm ---- *)
 
 let disasm_cmd =
-  let run scheme which =
-    let src =
-      match which with
-      | "rsa" -> Rsa.program
-      | "djpeg" -> Djpeg.program Djpeg.Ppm
-      | other -> (
-        match Kernels.by_name other with
-        | Some kernel ->
-          MB.program ~ct:(ct_of_scheme scheme) { MB.kernel; width = 1; iters = 1 }
-        | None -> failwith (Printf.sprintf "unknown workload %S" other))
-    in
-    let built = Harness.build scheme src in
-    Format.printf "%a@." Sempe_isa.Program.pp built.Harness.prog
+  let run scheme workload =
+    Format.printf "%a@." Sempe_isa.Program.pp
+      (Api.build scheme workload).Harness.prog
   in
-  let which =
-    Arg.(value & pos 0 string "rsa" & info [] ~docv:"WORKLOAD"
-           ~doc:"rsa, djpeg, or a kernel name.")
+  (* Only the program matters here: kernels compile at W=1, one
+     iteration, and no secret inputs are read. *)
+  let workload =
+    Term.term_result'
+      Term.(
+        const (fun which ->
+            select which ~width:1 ~iters:1 ~leaf:1 ~blocks:1 ~seed:0 ~key:0)
+        $ Arg.(
+            value & pos 0 string "rsa"
+            & info [] ~docv:"WORKLOAD" ~doc:"rsa, djpeg, or a kernel name."))
   in
   Cmd.v
     (Cmd.info "disasm" ~doc:"Compile a workload under a scheme and print the assembly.")
-    Term.(const run $ scheme_arg $ which)
+    Term.(const run $ scheme_arg $ workload)
 
 (* ---- serve / client / loadgen: the simulation service ---- *)
 
@@ -1077,7 +778,7 @@ let serve_cmd =
     (* Leakage requests sweep the scheme grid on the process-wide Batch
        pool; keep it sequential so concurrent requests do not
        oversubscribe domains (responses are jobs-independent anyway). *)
-    Sempe_experiments.Batch.set_jobs 1;
+    Batch.set_jobs 1;
     let config =
       {
         Server.default_config with
@@ -1166,36 +867,18 @@ let serve_cmd =
       $ max_connections $ store_dir $ verbose)
 
 let client_cmd =
-  let run connect op which width iters leaf blocks seed key scheme strict
-      interval coverage warmup top fuzz_seed count =
+  let run connect op workload scheme strict_oob interval coverage warmup top
+      fuzz_seed count =
     let request =
       match op with
       | "ping" | "stats" | "shutdown" -> None
-      | "simulate" ->
-        Some
-          (Api.Simulate
-             {
-               scheme;
-               workload = api_workload which ~width ~iters ~leaf ~blocks ~seed ~key;
-               strict_oob = strict;
-             })
+      | "simulate" -> Some (Api.Simulate { scheme; workload; strict_oob })
       | "sample" ->
         Some
           (Api.Sample
-             {
-               scheme;
-               workload = api_workload which ~width ~iters ~leaf ~blocks ~seed ~key;
-               strict_oob = strict;
-               params = { Api.interval; coverage; warmup };
-             })
-      | "profile" ->
-        Some
-          (Api.Profile
-             {
-               scheme;
-               workload = api_workload which ~width ~iters ~leaf ~blocks ~seed ~key;
-               top;
-             })
+             { scheme; workload; strict_oob;
+               params = { Api.interval; coverage; warmup } })
+      | "profile" -> Some (Api.Profile { scheme; workload; top })
       | "leakage" -> Some Api.Leakage
       | "fuzz-smoke" -> Some (Api.Fuzz_smoke { seed = fuzz_seed; count })
       | other ->
@@ -1238,11 +921,12 @@ let client_cmd =
             "ping, stats, shutdown, simulate, sample, profile, leakage or \
              fuzz-smoke.")
   in
-  let which =
-    Arg.(
-      value & opt string "rsa"
-      & info [ "workload" ] ~docv:"WORKLOAD"
-          ~doc:"rsa, djpeg, or a microbenchmark kernel name.")
+  let workload =
+    selected_workload
+      Arg.(
+        value & opt string "rsa"
+        & info [ "workload" ] ~docv:"WORKLOAD"
+            ~doc:"rsa, djpeg, or a microbenchmark kernel name.")
   in
   let fuzz_seed =
     Arg.(
@@ -1266,75 +950,41 @@ let client_cmd =
           document — the same bytes the matching batch subcommand's \
           $(b,--json) mode prints.")
     Term.(
-      const run $ connect_arg $ op $ which $ width_arg $ iters_arg $ leaf_arg
-      $ blocks_arg $ seed_arg $ key_arg $ scheme_arg $ strict_oob_arg
+      const run $ connect_arg $ op $ workload $ scheme_arg $ strict_oob_arg
       $ interval_arg $ coverage_arg $ warmup_arg $ top $ fuzz_seed $ count)
 
 let loadgen_cmd =
   let run connect clients requests mix_names rate json =
+    let simulate scheme workload =
+      Api.Simulate { scheme; workload; strict_oob = false }
+    in
+    let sample workload =
+      Api.Sample
+        {
+          scheme = Scheme.Sempe;
+          workload;
+          strict_oob = false;
+          params = { Api.interval = 2000; coverage = 0.25; warmup = 500 };
+        }
+    in
+    let rsa = Api.Rsa { key = Rsa.default_key } in
     let mix =
       List.concat_map
         (fun name ->
           match String.lowercase_ascii name with
           | "simulate" ->
             [
-              Api.Simulate
-                {
-                  scheme = Scheme.Sempe;
-                  workload =
-                    Api.Microbench
-                      { kernel = "fibonacci"; width = 4; iters = 3; leaf = 1 };
-                  strict_oob = false;
-                };
-              Api.Simulate
-                {
-                  scheme = Scheme.Baseline;
-                  workload =
-                    Api.Microbench
-                      { kernel = "ones"; width = 4; iters = 3; leaf = 2 };
-                  strict_oob = false;
-                };
-              Api.Simulate
-                {
-                  scheme = Scheme.Sempe;
-                  workload = Api.Djpeg { format = "PPM"; blocks = 4; seed = 42 };
-                  strict_oob = false;
-                };
-              Api.Simulate
-                {
-                  scheme = Scheme.Cte;
-                  workload = Api.Rsa { key = 0x1234 };
-                  strict_oob = false;
-                };
+              simulate Scheme.Sempe
+                (Api.Microbench
+                   { kernel = "fibonacci"; width = 4; iters = 3; leaf = 1 });
+              simulate Scheme.Baseline
+                (Api.Microbench { kernel = "ones"; width = 4; iters = 3; leaf = 2 });
+              simulate Scheme.Sempe (Api.Djpeg { format = "PPM"; blocks = 4; seed = 42 });
+              simulate Scheme.Cte rsa;
             ]
           | "sample" ->
-            [
-              Api.Sample
-                {
-                  scheme = Scheme.Sempe;
-                  workload = Api.Rsa { key = 0x1234 };
-                  strict_oob = false;
-                  params =
-                    { Api.interval = 2000; coverage = 0.25; warmup = 500 };
-                };
-              Api.Sample
-                {
-                  scheme = Scheme.Sempe;
-                  workload = Api.Djpeg { format = "PPM"; blocks = 8; seed = 7 };
-                  strict_oob = false;
-                  params =
-                    { Api.interval = 2000; coverage = 0.25; warmup = 500 };
-                };
-            ]
-          | "profile" ->
-            [
-              Api.Profile
-                {
-                  scheme = Scheme.Sempe;
-                  workload = Api.Rsa { key = 0x1234 };
-                  top = 10;
-                };
-            ]
+            [ sample rsa; sample (Api.Djpeg { format = "PPM"; blocks = 8; seed = 7 }) ]
+          | "profile" -> [ Api.Profile { scheme = Scheme.Sempe; workload = rsa; top = 10 } ]
           | "leakage" -> [ Api.Leakage ]
           | "fuzz" -> [ Api.Fuzz_smoke { seed = 1; count = 25 } ]
           | other ->

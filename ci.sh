@@ -94,6 +94,12 @@ cmp "$out/served-sim.json" "$out/served-sim2.json"
 "$sim" client sample -c "$sock" --workload rsa > "$out/served-sample.json"
 "$sim" rsa --sample --json > "$out/batch-sample.json"
 cmp "$out/served-sample.json" "$out/batch-sample.json"
+"$sim" client simulate -c "$sock" --workload djpeg > "$out/served-djpeg.json"
+"$sim" djpeg --json > "$out/batch-djpeg.json"
+cmp "$out/served-djpeg.json" "$out/batch-djpeg.json"
+"$sim" client profile -c "$sock" --workload rsa > "$out/served-profile.json"
+"$sim" profile rsa --json > "$out/batch-profile.json"
+cmp "$out/served-profile.json" "$out/batch-profile.json"
 "$sim" client fuzz-smoke -c "$sock" --fuzz-seed 5 --count 25 \
   > "$out/served-fuzz.json"
 "$sim" fuzz --seed 5 --count 25 --no-corpus --json > "$out/batch-fuzz.json"

@@ -20,7 +20,7 @@ let default_keys = [ 0x0000; 0xffff; 0xa5a5; 0x0f0f; 0x8001; 0x1234; 0x7fff ]
 
 let view scheme ~key =
   let built = Harness.build scheme Rsa.program in
-  let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
+  let globals, arrays = Rsa.inputs ~key ~base:Rsa.base ~modulus:Rsa.modulus in
   let recorder = Observable.recorder () in
   let outcome =
     Harness.run ~globals ~arrays ~observe:(Observable.feed recorder) built
@@ -51,7 +51,7 @@ type attribution_result = {
 
 let witness scheme ~key =
   let built = Harness.build scheme Rsa.program in
-  let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
+  let globals, arrays = Rsa.inputs ~key ~base:Rsa.base ~modulus:Rsa.modulus in
   let w = Witness.create () in
   let outcome =
     Harness.run ~globals ~arrays ~sink:(Sink.of_probe (Witness.probe w)) built

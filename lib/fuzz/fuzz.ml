@@ -306,6 +306,36 @@ let failure_to_json f =
             ] );
     ]
 
+let render config o =
+  let b = Buffer.create 256 in
+  Printf.bprintf b
+    "fuzz: seed %d, %d cases executed, %d execution shapes, oracles: %s\n"
+    config.seed o.executed o.features
+    (String.concat ", " (List.map (fun o -> o.Oracle.name) config.oracles));
+  (match o.failures with
+   | [] -> Buffer.add_string b "no oracle violations\n"
+   | fs ->
+     List.iter
+       (fun f ->
+         Printf.bprintf b
+           "\nFAIL [%s] seed %d (%s): %s\n\
+            minimized %d -> %d statements (%d static instructions, %d \
+            minimizer trials)%s\n\
+            %s\n"
+           f.f_oracle f.f_seed (origin_name f.f_origin) f.f_message f.f_size
+           f.f_min_size f.f_min_instrs f.f_trials
+           (match f.f_repro with
+            | None -> ""
+            | Some p -> Printf.sprintf "\nreproducer: %s" p)
+           f.f_source;
+         match f.f_attribution with
+         | None -> ()
+         | Some a ->
+           Printf.bprintf b "leakage attribution (%s):\n%s" a.a_comparison
+             a.a_text)
+       fs);
+  Buffer.contents b
+
 (* [wall_s] is deliberately not part of the JSON document: `sempe-sim
    fuzz --json` must be byte-identical across worker counts and runs. *)
 let to_json o =

@@ -79,6 +79,12 @@ type outcome = {
 
 val run : config -> outcome
 
+val render : config -> outcome -> string
+(** Human-readable outcome: a summary line naming [config]'s seed and
+    oracles, then each failure with its minimized reproducer and, when
+    present, its leakage attribution. Like {!to_json}, excludes
+    [wall_s]. *)
+
 val to_json : outcome -> Sempe_obs.Json.t
 (** Machine-readable outcome. Excludes [wall_s] so the document is
     byte-identical across worker counts and runs. *)

@@ -1,6 +1,29 @@
 module Timing = Sempe_pipeline.Timing
 module Stall = Sempe_pipeline.Stall
+module Config = Sempe_pipeline.Config
 module Tablefmt = Sempe_util.Tablefmt
+
+let render (r : Timing.report) =
+  let seconds =
+    float_of_int r.Timing.cycles /. (Config.default.Config.clock_ghz *. 1e9)
+  in
+  Tablefmt.render ~header:[ "metric"; "value" ]
+    [
+      [ "instructions"; string_of_int r.Timing.instructions ];
+      [ "cycles"; string_of_int r.Timing.cycles ];
+      [ "CPI"; Tablefmt.fixed 3 r.Timing.cpi ];
+      [ "time @2GHz"; Printf.sprintf "%.1f us" (seconds *. 1e6) ];
+      [ "cond. branches"; string_of_int r.Timing.cond_branches ];
+      [ "mispredicts"; string_of_int r.Timing.mispredicts ];
+      [ "secure branches (sJMP)"; string_of_int r.Timing.secure_branches ];
+      [ "pipeline drains"; string_of_int r.Timing.drains ];
+      [ "SPM transfer cycles"; string_of_int r.Timing.spm_cycles ];
+      [ "loads / stores";
+        Printf.sprintf "%d / %d" r.Timing.loads r.Timing.stores ];
+      [ "IL1 miss rate"; Tablefmt.percent r.Timing.il1_miss_rate ];
+      [ "DL1 miss rate"; Tablefmt.percent r.Timing.dl1_miss_rate ];
+      [ "L2 miss rate"; Tablefmt.percent r.Timing.l2_miss_rate ];
+    ]
 
 let stall_stack_alist (r : Timing.report) =
   List.map

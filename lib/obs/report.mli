@@ -1,6 +1,11 @@
 (** Machine-readable and stall-stack views of a {!Sempe_pipeline.Timing}
     run report. *)
 
+val render : Sempe_pipeline.Timing.report -> string
+(** Text table of the headline counters (instructions, cycles, CPI, wall
+    time at the Table II clock, branch, drain, SPM and cache figures), no
+    trailing newline. *)
+
 val stall_stack_alist :
   Sempe_pipeline.Timing.report -> (Sempe_pipeline.Stall.bucket * int) list
 (** The report's stall stack as [(bucket, cycles)], in {!Stall.all}

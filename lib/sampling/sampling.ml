@@ -5,6 +5,7 @@ module Warm = Sempe_pipeline.Warm
 module Pool = Sempe_util.Pool
 module Stats = Sempe_util.Stats
 module Json = Sempe_obs.Json
+module Tablefmt = Sempe_util.Tablefmt
 
 type config = {
   interval : int;
@@ -355,6 +356,25 @@ let relative_error e ~cycles =
   else
     Float.abs (float_of_int (e.cycles_estimate - cycles))
     /. float_of_int cycles
+
+let render e =
+  Tablefmt.render ~header:[ "metric"; "value" ]
+    [
+      [ "instructions"; string_of_int e.instructions ];
+      [ "cycles (estimate)"; string_of_int e.cycles_estimate ];
+      [ "90% band"; Printf.sprintf "[%d, %d]" e.cycles_low e.cycles_high ];
+      [ "CPI"; Tablefmt.fixed 3 e.cpi ];
+      [ "intervals measured";
+        Printf.sprintf "%d / %d" e.intervals_measured e.intervals_total ];
+      [ "instructions measured";
+        Printf.sprintf "%d (%.1f%%)" e.measured_instructions
+          (100.
+          *. float_of_int e.measured_instructions
+          /. float_of_int (max 1 e.instructions)) ];
+      [ "exact"; (if e.exact then "yes (full coverage)" else "no") ];
+      [ "checkpoint volume";
+        Printf.sprintf "%.1f KiB" (float_of_int e.checkpoint_bytes /. 1024.) ];
+    ]
 
 let to_json e =
   Json.Obj

@@ -168,4 +168,8 @@ val contains : estimate -> cycles:int -> bool
 val relative_error : estimate -> cycles:int -> float
 (** |estimate - truth| / truth against a known full-run cycle count. *)
 
+val render : estimate -> string
+(** Text table of the estimate: cycles with their 90% band, CPI, measured
+    share and checkpoint volume, no trailing newline. *)
+
 val to_json : estimate -> Sempe_obs.Json.t

@@ -12,6 +12,8 @@ module Djpeg = Sempe_workloads.Djpeg
 module Rsa = Sempe_workloads.Rsa
 module Pool = Sempe_util.Pool
 module Fuzz = Sempe_fuzz.Fuzz
+module Program = Sempe_isa.Program
+module Security_exp = Sempe_experiments.Security_exp
 
 type workload =
   | Microbench of { kernel : string; width : int; iters : int; leaf : int }
@@ -32,9 +34,31 @@ type request =
   | Leakage
   | Fuzz_smoke of { seed : int; count : int }
 
-(* Mirrors the CLI: the software schemes get the constant-time kernel
-   variants (their transforms would not terminate on data-dependent
-   loops). *)
+type result =
+  | Simulated of {
+      scheme : Scheme.t;
+      workload : workload;
+      outcome : Run.outcome;
+      baseline : Run.outcome option;
+    }
+  | Sampled of {
+      scheme : Scheme.t;
+      workload : workload;
+      estimate : Sampling.estimate;
+    }
+  | Profiled of {
+      scheme : Scheme.t;
+      workload : workload;
+      top : int;
+      report : Sempe_pipeline.Timing.report;
+      profile : Profile.t;
+      program : Program.t;
+    }
+  | Leakage_matrix of Security_exp.result list
+  | Fuzzed of { config : Fuzz.config; outcome : Fuzz.outcome }
+
+(* The software schemes get the constant-time kernel variants (their
+   transforms would not terminate on data-dependent loops). *)
 let ct_of_scheme = function
   | Scheme.Cte | Scheme.Raccoon | Scheme.Mto -> true
   | Scheme.Baseline | Scheme.Sempe | Scheme.Sempe_on_legacy -> false
@@ -44,149 +68,223 @@ let kernel_named name =
   | Some k -> k
   | None -> invalid_arg (Printf.sprintf "Api: unknown kernel %S" name)
 
-let format_named name =
-  match String.uppercase_ascii name with
-  | "PPM" -> Djpeg.Ppm
-  | "GIF" -> Djpeg.Gif
-  | "BMP" -> Djpeg.Bmp
-  | other -> invalid_arg (Printf.sprintf "Api: unknown djpeg format %S" other)
+let format_of_name name =
+  let name = String.uppercase_ascii name in
+  List.find_opt (fun f -> Djpeg.format_name f = name) Djpeg.all_formats
 
-(* Source program, initial state and the identifying JSON tags of a
-   workload — the same values (in the same field order) the CLI
-   subcommands use. *)
-let setup scheme workload =
+let format_named name =
+  match format_of_name name with
+  | Some fmt -> fmt
+  | None -> invalid_arg (Printf.sprintf "Api: unknown djpeg format %S" name)
+
+let check_workload workload =
   match workload with
   | Microbench { kernel; width; iters; leaf } ->
-    let spec = { MB.kernel = kernel_named kernel; width; iters } in
-    let tags =
-      [
-        ("workload", Json.Str "microbench");
-        ("kernel", Json.Str kernel);
-        ("width", Json.Int width);
-        ("iters", Json.Int iters);
-        ("leaf", Json.Int leaf);
-        ("scheme", Json.Str (Scheme.name scheme));
-      ]
-    in
-    ( MB.program ~ct:(ct_of_scheme scheme) spec,
-      MB.secrets_for_leaf ~width ~leaf,
-      [],
-      tags )
-  | Djpeg { format; blocks; seed } ->
-    let fmt = format_named format in
-    let globals, arrays = Djpeg.inputs fmt ~seed ~blocks in
-    let tags =
-      [
-        ("workload", Json.Str "djpeg");
-        ("format", Json.Str (Djpeg.format_name fmt));
-        ("blocks", Json.Int blocks);
-        ("seed", Json.Int seed);
-        ("scheme", Json.Str (Scheme.name scheme));
-      ]
-    in
-    (Djpeg.program fmt, globals, arrays, tags)
+    if Kernels.by_name kernel = None then
+      Error
+        (Printf.sprintf "unknown kernel %S (expected one of: %s)" kernel
+           (String.concat ", " (List.map (fun k -> k.Kernels.name) Kernels.all)))
+    else if width < 1 then Error "field \"width\" must be >= 1"
+    else if iters < 1 then Error "field \"iters\" must be >= 1"
+    else if leaf < 1 || leaf > width + 1 then
+      Error
+        (Printf.sprintf "field \"leaf\" must be in 1..%d (the width plus one)"
+           (width + 1))
+    else Ok workload
+  | Djpeg { format; blocks; seed } -> (
+    match format_of_name format with
+    | None ->
+      Error
+        (Printf.sprintf "unknown djpeg format %S (PPM, GIF or BMP)"
+           (String.uppercase_ascii format))
+    | Some _ when blocks < 1 -> Error "field \"blocks\" must be >= 1"
+    | Some fmt -> Ok (Djpeg { format = Djpeg.format_name fmt; blocks; seed }))
   | Rsa { key } ->
-    let globals, arrays = Rsa.inputs ~key ~base:1234 ~modulus:99991 in
-    let tags =
-      [
-        ("workload", Json.Str "rsa");
-        ("key", Json.Int key);
-        ("scheme", Json.Str (Scheme.name scheme));
-      ]
-    in
-    (Rsa.program, globals, arrays, tags)
+    if key < 0 || key lsr Rsa.key_bits <> 0 then
+      Error (Printf.sprintf "field \"key\" must fit in %d bits" Rsa.key_bits)
+    else Ok workload
 
-(* The profile/trace subcommands describe their workload with a one-line
-   string rather than tags; reproduce those exact strings. *)
+let build scheme workload =
+  Harness.build scheme
+    (match workload with
+     | Microbench { kernel; width; iters; _ } ->
+       MB.program ~ct:(ct_of_scheme scheme)
+         { MB.kernel = kernel_named kernel; width; iters }
+     | Djpeg { format; _ } -> Djpeg.program (format_named format)
+     | Rsa _ -> Rsa.program)
+
+let inputs = function
+  | Microbench { width; leaf; _ } -> (MB.secrets_for_leaf ~width ~leaf, [])
+  | Djpeg { format; blocks; seed } ->
+    Djpeg.inputs (format_named format) ~seed ~blocks
+  | Rsa { key } -> Rsa.inputs ~key ~base:Rsa.base ~modulus:Rsa.modulus
+
 let describe = function
   | Rsa { key } -> Printf.sprintf "rsa key=0x%04x" key
   | Djpeg { format; blocks; seed } ->
-    Printf.sprintf "djpeg %s blocks=%d seed=%d"
-      (Djpeg.format_name (format_named format))
-      blocks seed
+    Printf.sprintf "djpeg %s blocks=%d seed=%d" format blocks seed
   | Microbench { kernel; width; iters; leaf } ->
-    Printf.sprintf "%s W=%d iters=%d leaf=%d"
-      (kernel_named kernel).Kernels.name width iters leaf
+    Printf.sprintf "%s W=%d iters=%d leaf=%d" kernel width iters leaf
 
-let perform ?workers ?plan ?plan_out request =
+let run ?workers ?plan ?plan_out request =
+  let checked workload =
+    match check_workload workload with
+    | Ok w -> w
+    | Error msg -> invalid_arg ("Api: " ^ msg)
+  in
   match request with
   | Simulate { scheme; workload; strict_oob } ->
-    let src, globals, arrays, tags = setup scheme workload in
-    let built = Harness.build scheme src in
+    let workload = checked workload in
+    let globals, arrays = inputs workload in
     let forgiving_oob = not strict_oob in
-    let outcome = Harness.run ~forgiving_oob ~globals ~arrays built in
-    let fields =
+    let outcome =
+      Harness.run ~forgiving_oob ~globals ~arrays (build scheme workload)
+    in
+    (* The microbenchmark reports its slowdown against the unprotected
+       baseline. *)
+    let baseline =
       match workload with
-      | Microbench { kernel; width; iters; _ } ->
-        (* The microbench report carries its slowdown against the
-           unprotected baseline, like the CLI's. *)
-        let spec = { MB.kernel = kernel_named kernel; width; iters } in
-        let base =
-          Harness.run ~forgiving_oob ~globals
-            (Harness.build Scheme.Baseline (MB.program ~ct:false spec))
-        in
-        [
-          ("checksum", Json.Int (Harness.return_value outcome));
-          ("slowdown_vs_baseline", Json.Float (Run.overhead ~baseline:base outcome));
-          ("report", Report.to_json outcome.Run.timing);
-        ]
-      | Djpeg _ ->
-        [
-          ("checksum", Json.Int (Harness.return_value outcome));
-          ("report", Report.to_json outcome.Run.timing);
-        ]
-      | Rsa { key } ->
-        [
-          ("result", Json.Int (Harness.return_value outcome));
-          ("expected", Json.Int (Rsa.reference ~key ~base:1234 ~modulus:99991));
-          ("report", Report.to_json outcome.Run.timing);
-        ]
+      | Microbench _ ->
+        Some
+          (Harness.run ~forgiving_oob ~globals (build Scheme.Baseline workload))
+      | Djpeg _ | Rsa _ -> None
     in
-    Json.Obj (tags @ fields)
+    Simulated { scheme; workload; outcome; baseline }
   | Sample { scheme; workload; strict_oob; params } ->
-    let src, globals, arrays, tags = setup scheme workload in
-    let built = Harness.build scheme src in
+    let workload = checked workload in
+    let globals, arrays = inputs workload in
+    let { interval; coverage; warmup } = params in
     let config =
-      {
-        Sampling.default_config with
-        Sampling.interval = params.interval;
-        coverage = params.coverage;
-        warmup = params.warmup;
-      }
+      { Sampling.default_config with Sampling.interval; coverage; warmup }
     in
-    let est =
+    let estimate =
       Harness.sample ~forgiving_oob:(not strict_oob) ~globals ~arrays ~config
-        ?workers ?plan ?plan_out built
+        ?workers ?plan ?plan_out (build scheme workload)
     in
-    Json.Obj (tags @ [ ("sampling", Sampling.to_json est) ])
+    Sampled { scheme; workload; estimate }
   | Profile { scheme; workload; top } ->
-    let src, globals, arrays, _ = setup scheme workload in
-    let built = Harness.build scheme src in
+    let workload = checked workload in
+    let globals, arrays = inputs workload in
+    let built = build scheme workload in
     let profile = Profile.create () in
     let sink = Sink.of_probe (Profile.probe profile) in
     let outcome = Harness.run ~globals ~arrays ~sink built in
     sink.Sink.close ();
-    Json.Obj
-      [
-        ("workload", Json.Str (describe workload));
-        ("scheme", Json.Str (Scheme.name scheme));
-        ("report", Report.to_json outcome.Run.timing);
-        ("profile", Profile.to_json ~n:top profile);
-      ]
-  | Leakage ->
-    Sempe_experiments.Security_exp.to_json
-      (Sempe_experiments.Security_exp.measure ())
+    let report = outcome.Run.timing and program = built.Harness.prog in
+    Profiled { scheme; workload; top; report; profile; program }
+  | Leakage -> Leakage_matrix (Security_exp.measure ())
   | Fuzz_smoke { seed; count } ->
     (* The corpus-less CLI invocation: all oracles, minimization on, the
-       default failure cap. The outcome JSON is worker-count-independent
-       by construction, so [workers] only bounds wall time. *)
+       default failure cap. The outcome is worker-count-independent by
+       construction, so [workers] only bounds wall time. *)
     let workers =
       match workers with
       | None -> Pool.default_workers ()
       | Some w -> max 1 (min w (Pool.default_workers ()))
     in
     let config = { Fuzz.default_config with Fuzz.seed; count; workers } in
-    Fuzz.to_json (Fuzz.run config)
+    Fuzzed { config; outcome = Fuzz.run config }
+
+(* ---- rendering: one value, two views ---- *)
+
+(* The identifying JSON tags of a workload run. *)
+let tags scheme workload =
+  (match workload with
+   | Microbench { kernel; width; iters; leaf } ->
+     [
+       ("workload", Json.Str "microbench");
+       ("kernel", Json.Str kernel);
+       ("width", Json.Int width);
+       ("iters", Json.Int iters);
+       ("leaf", Json.Int leaf);
+     ]
+   | Djpeg { format; blocks; seed } ->
+     [
+       ("workload", Json.Str "djpeg");
+       ("format", Json.Str format);
+       ("blocks", Json.Int blocks);
+       ("seed", Json.Int seed);
+     ]
+   | Rsa { key } -> [ ("workload", Json.Str "rsa"); ("key", Json.Int key) ])
+  @ [ ("scheme", Json.Str (Scheme.name scheme)) ]
+
+(* The one-line text heading of a workload run. *)
+let headline scheme workload =
+  let scheme = Scheme.name scheme in
+  match workload with
+  | Microbench { kernel; width; iters; leaf } ->
+    Printf.sprintf "microbenchmark %s, W=%d, iters=%d, scheme=%s, true leaf=%d"
+      kernel width iters scheme leaf
+  | Djpeg { format; blocks; seed } ->
+    Printf.sprintf "djpeg -> %s, %d blocks, scheme=%s, image seed=%d" format
+      blocks scheme seed
+  | Rsa { key } ->
+    Printf.sprintf "modexp (Figure 1), key=0x%04x, scheme=%s" key scheme
+
+let rsa_expected key = Rsa.reference ~key ~base:Rsa.base ~modulus:Rsa.modulus
+
+let to_json = function
+  | Simulated { scheme; workload; outcome; baseline } ->
+    let value = Json.Int (Harness.return_value outcome) in
+    Json.Obj
+      (tags scheme workload
+      @ (match workload with
+        | Rsa { key } ->
+          [ ("result", value); ("expected", Json.Int (rsa_expected key)) ]
+        | Microbench _ | Djpeg _ -> [ ("checksum", value) ])
+      @ (match baseline with
+        | None -> []
+        | Some baseline ->
+          [ ("slowdown_vs_baseline",
+              Json.Float (Run.overhead ~baseline outcome)) ])
+      @ [ ("report", Report.to_json outcome.Run.timing) ])
+  | Sampled { scheme; workload; estimate } ->
+    Json.Obj (tags scheme workload @ [ ("sampling", Sampling.to_json estimate) ])
+  | Profiled { scheme; workload; top; report; profile; _ } ->
+    Json.Obj
+      [
+        ("workload", Json.Str (describe workload));
+        ("scheme", Json.Str (Scheme.name scheme));
+        ("report", Report.to_json report);
+        ("profile", Profile.to_json ~n:top profile);
+      ]
+  | Leakage_matrix results -> Security_exp.to_json results
+  | Fuzzed { outcome; _ } -> Fuzz.to_json outcome
+
+let render = function
+  | Simulated { scheme; workload; outcome; baseline } ->
+    let value = Harness.return_value outcome in
+    headline scheme workload ^ "\n"
+    ^ (match workload with
+      | Rsa { key } ->
+        Printf.sprintf "result = %d (expected %d)\n\n" value (rsa_expected key)
+      | Microbench _ | Djpeg _ -> Printf.sprintf "checksum = %d\n\n" value)
+    ^ Report.render outcome.Run.timing ^ "\n"
+    ^ (match baseline with
+      | None -> ""
+      | Some baseline ->
+        Printf.sprintf "\nslowdown vs baseline: %s\n"
+          (Sempe_util.Tablefmt.times (Run.overhead ~baseline outcome)))
+  | Sampled { scheme; workload; estimate } ->
+    headline scheme workload ^ " (sampled)\n\n" ^ Sampling.render estimate
+    ^ "\n"
+  | Profiled { scheme; workload; top; report; profile; program } ->
+    let code = program.Program.code in
+    let resolve pc =
+      if pc >= 0 && pc < Array.length code then
+        Sempe_isa.Instr.to_string code.(pc)
+      else "?"
+    in
+    Printf.sprintf "profile: %s, scheme=%s\n\n" (describe workload)
+      (Scheme.name scheme)
+    ^ Report.render report ^ "\n\n"
+    ^ Report.render_stall_stack report ^ "\n"
+    ^ Profile.render ~n:top ~resolve profile
+  | Leakage_matrix results -> Security_exp.render results ^ "\n"
+  | Fuzzed { config; outcome } -> Fuzz.render config outcome
+
+let perform ?workers ?plan ?plan_out request =
+  to_json (run ?workers ?plan ?plan_out request)
 
 (* ---- wire form ---- *)
 
@@ -298,43 +396,25 @@ let workload_of_fields fields =
   let* w = field "workload" fields in
   let* wf = as_obj "workload" w in
   let* ty = str_field "type" wf in
-  match ty with
-  | "microbench" ->
-    let* kernel = str_field "kernel" wf in
-    let* () =
-      match Kernels.by_name kernel with
-      | Some _ -> Ok ()
-      | None ->
-        Error
-          (Printf.sprintf "unknown kernel %S (expected one of: %s)" kernel
-             (String.concat ", "
-                (List.map (fun k -> k.Kernels.name) Kernels.all)))
-    in
-    let* width = int_field "width" wf in
-    let* iters = int_field "iters" wf in
-    let* leaf = int_field "leaf" wf in
-    if width < 1 then Error "field \"width\" must be >= 1"
-    else if iters < 1 then Error "field \"iters\" must be >= 1"
-    else Ok (Microbench { kernel; width; iters; leaf })
-  | "djpeg" ->
-    let* format = str_field "format" wf in
-    let* () =
-      match String.uppercase_ascii format with
-      | "PPM" | "GIF" | "BMP" -> Ok ()
-      | other ->
-        Error
-          (Printf.sprintf "unknown djpeg format %S (PPM, GIF or BMP)" other)
-    in
-    let* blocks = int_field "blocks" wf in
-    let* seed = int_field "seed" wf in
-    if blocks < 1 then Error "field \"blocks\" must be >= 1"
-    else Ok (Djpeg { format = String.uppercase_ascii format; blocks; seed })
-  | "rsa" ->
-    let* key = int_field "key" wf in
-    if key < 0 || key lsr Rsa.key_bits <> 0 then
-      Error (Printf.sprintf "field \"key\" must fit in %d bits" Rsa.key_bits)
-    else Ok (Rsa { key })
-  | other -> Error (Printf.sprintf "unknown workload type %S" other)
+  let* workload =
+    match ty with
+    | "microbench" ->
+      let* kernel = str_field "kernel" wf in
+      let* width = int_field "width" wf in
+      let* iters = int_field "iters" wf in
+      let* leaf = int_field "leaf" wf in
+      Ok (Microbench { kernel; width; iters; leaf })
+    | "djpeg" ->
+      let* format = str_field "format" wf in
+      let* blocks = int_field "blocks" wf in
+      let* seed = int_field "seed" wf in
+      Ok (Djpeg { format; blocks; seed })
+    | "rsa" ->
+      let* key = int_field "key" wf in
+      Ok (Rsa { key })
+    | other -> Error (Printf.sprintf "unknown workload type %S" other)
+  in
+  check_workload workload
 
 let request_of_json json =
   match json with
@@ -401,9 +481,7 @@ let digests s =
    generated code, so two requests whose JSON collides but whose programs
    differ still get distinct keys. *)
 let program_digests scheme workload =
-  let src, _, _, _ = setup scheme workload in
-  let built = Harness.build scheme src in
-  digests (Marshal.to_string built.Harness.prog [])
+  digests (Marshal.to_string (build scheme workload).Harness.prog [])
 
 let cache_key request =
   let j1, j2 = digests (Json.to_string (request_to_json request)) in

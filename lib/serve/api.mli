@@ -1,10 +1,12 @@
-(** The daemon's request vocabulary and its single execution entry point.
+(** The daemon's request vocabulary and its single execution path.
 
-    Every operation the daemon serves is also a batch CLI invocation, and
-    the [--json] branches of those CLI subcommands call {!perform} too —
-    so a served response is byte-identical to the batch CLI's stdout for
-    the same request {e by construction}, not by parallel maintenance of
-    two formatting paths. *)
+    Every operation the daemon serves is also a batch CLI invocation.
+    {!run} executes a request into a typed {!result}; {!to_json} and
+    {!render} are its two views. The CLI prints one of the two, and the
+    daemon answers with {!perform} = [to_json (run request)] — so a
+    served response is byte-identical to the batch CLI's [--json] stdout
+    {e by construction}, and the CLI's text report is computed from the
+    very same run. *)
 
 module Json = Sempe_obs.Json
 module Scheme = Sempe_core.Scheme
@@ -36,22 +38,88 @@ type request =
       (** a corpus-less differential-fuzz round —
           [sempe-sim fuzz --seed S --count N --no-corpus --json] *)
 
+val check_workload : workload -> (workload, string) Stdlib.result
+(** The one range check on a workload, shared by {!request_of_json} and
+    the CLI: the kernel or djpeg format must exist, [width], [iters] and
+    [blocks] must be positive, [leaf] must lie in [1..width+1] and [key]
+    must fit in {!Sempe_workloads.Rsa.key_bits} bits. The error names the
+    offending field. [Ok] carries the canonical spelling (upper-case
+    djpeg format). *)
+
+val build : Scheme.t -> workload -> Sempe_workloads.Harness.built
+(** The workload's program under the scheme's transform, compiled. The
+    software schemes (CTE, Raccoon, MTO) get the constant-time kernel
+    variants, since their transforms would not terminate on
+    data-dependent loops. *)
+
+val inputs : workload -> (string * int) list * (string * int array) list
+(** The named globals (secrets) and arrays a run of the workload starts
+    from. *)
+
+val describe : workload -> string
+(** One-line description, e.g. ["rsa key=0x1234"]. *)
+
+(** What a request computed, before it is rendered. *)
+type result =
+  | Simulated of {
+      scheme : Scheme.t;
+      workload : workload;
+      outcome : Sempe_core.Run.outcome;
+      baseline : Sempe_core.Run.outcome option;
+          (** microbench: the unprotected run the slowdown is measured
+              against *)
+    }
+  | Sampled of {
+      scheme : Scheme.t;
+      workload : workload;
+      estimate : Sampling.estimate;
+    }
+  | Profiled of {
+      scheme : Scheme.t;
+      workload : workload;
+      top : int;
+      report : Sempe_pipeline.Timing.report;
+      profile : Sempe_obs.Profile.t;
+      program : Sempe_isa.Program.t;  (** resolves profiled pcs to text *)
+    }
+  | Leakage_matrix of Sempe_experiments.Security_exp.result list
+  | Fuzzed of {
+      config : Sempe_fuzz.Fuzz.config;
+      outcome : Sempe_fuzz.Fuzz.outcome;
+    }
+
+val run :
+  ?workers:int ->
+  ?plan:Sampling.plan ->
+  ?plan_out:(Sampling.plan -> unit) ->
+  request ->
+  result
+(** Execute one request. Deterministic: the result's views are
+    byte-identical at any [workers] (which only bounds the inner
+    measurement parallelism of [Sample] and the fuzz pool of
+    [Fuzz_smoke]). [plan]/[plan_out] revive / record a [Sample]
+    request's checkpoint plan (ignored for the other requests) — see
+    {!Sempe_sampling.Sampling.estimate}.
+
+    @raise Invalid_argument on a workload {!check_workload} rejects (the
+    strict decoder {!request_of_json} and the CLI reject those earlier,
+    so neither the daemon nor a batch run gets this far). *)
+
+val to_json : result -> Json.t
+(** The machine-readable view: the document [sempe-sim ... --json]
+    prints and the daemon serves. *)
+
+val render : result -> string
+(** The text view: what the matching [sempe-sim] subcommand prints
+    without [--json]. *)
+
 val perform :
   ?workers:int ->
   ?plan:Sampling.plan ->
   ?plan_out:(Sampling.plan -> unit) ->
   request ->
   Json.t
-(** Execute one request and return the same JSON document the batch CLI
-    prints for it. Deterministic: the document is byte-identical at any
-    [workers] (which only bounds the inner measurement parallelism of
-    [Sample] and the fuzz pool of [Fuzz_smoke]). [plan]/[plan_out] revive
-    / record a [Sample] request's checkpoint plan (ignored for the other
-    requests) — see {!Sempe_sampling.Sampling.estimate}.
-
-    @raise Invalid_argument on an unknown kernel or djpeg format (the
-    strict decoder {!request_of_json} rejects those earlier, so the
-    daemon never sees them). *)
+(** [to_json (run request)]: the daemon's entry point. *)
 
 val request_to_json : request -> Json.t
 (** Canonical wire form: an object carrying ["op"] plus the operation's
@@ -59,11 +127,11 @@ val request_to_json : request -> Json.t
     form is what {!cache_key} digests, so two spellings of the same
     request share a cache entry. *)
 
-val request_of_json : Json.t -> (request, string) result
+val request_of_json : Json.t -> (request, string) Stdlib.result
 (** Strict decode of a wire object: unknown ["op"], missing or
-    mistyped fields, unknown scheme/kernel/format names and out-of-range
-    sampling parameters are all [Error] with a message naming the
-    offending field. Unknown {e extra} fields are ignored (forward
+    mistyped fields, workloads {!check_workload} rejects and
+    out-of-range sampling parameters are all [Error] with a message
+    naming the offending field. Unknown {e extra} fields are ignored (forward
     compatibility). *)
 
 val digests : string -> int * int

@@ -1,6 +1,9 @@
 open Sempe_lang.Ast
 
 let key_bits = 16
+let base = 1234
+let modulus = 99991
+let default_key = 0x1234
 
 let modexp =
   {

@@ -8,6 +8,14 @@
 val key_bits : int
 (** Exponent width (16). *)
 
+val base : int
+val modulus : int
+(** The public base (1234) and modulus (99991) every run uses; only the
+    exponent is secret. *)
+
+val default_key : int
+(** The exponent a run uses unless told otherwise (0x1234). *)
+
 val program : Sempe_lang.Ast.program
 (** [main] computes [base ^ key mod modulus]; the key lives in the
     ["ebits"] array (most-significant bit first), [base] and [modulus] are

@@ -1,5 +1,5 @@
-(* Branch predictor components: saturating counters, bimodal, gshare, TAGE,
-   BTB and the return-address stack. *)
+(* Branch predictor components: saturating counters, TAGE, BTB and the
+   return-address stack. *)
 
 open Sempe_bpred
 
@@ -23,26 +23,6 @@ let test_counters_saturate () =
   Alcotest.(check bool) "one down still taken" true (Counters.taken t 0);
   for _ = 1 to 10 do Counters.train t 0 false done;
   Alcotest.(check bool) "saturated not-taken" false (Counters.taken t 0)
-
-let test_bimodal_learns_bias () =
-  let p = Bimodal.create () in
-  let acc = accuracy p (repeat 200 [ (100, true) ]) in
-  Alcotest.(check bool) "biased branch learned" true (acc > 0.95)
-
-let test_gshare_learns_alternation () =
-  let p = Gshare.create () in
-  (* warmup, then measure: gshare captures period-2 history. *)
-  ignore (accuracy p (repeat 100 [ (7, true); (7, false) ]));
-  let acc = accuracy p (repeat 100 [ (7, true); (7, false) ]) in
-  Alcotest.(check bool)
-    (Printf.sprintf "alternation learned (%.2f)" acc)
-    true (acc > 0.95)
-
-let test_bimodal_cannot_learn_alternation () =
-  let p = Bimodal.create () in
-  ignore (accuracy p (repeat 100 [ (7, true); (7, false) ]));
-  let acc = accuracy p (repeat 100 [ (7, true); (7, false) ]) in
-  Alcotest.(check bool) "bimodal stuck near 50%" true (acc < 0.7)
 
 let test_tage_learns_long_pattern () =
   let p = Tage.create () in
@@ -134,17 +114,12 @@ let prop_predictors_total =
                  p.Predictor.predict ~pc = p.Predictor.predict ~pc)
                stream)
            [
-             (fun () -> Bimodal.create ());
-             (fun () -> Gshare.create ());
              (fun () -> Tage.create ());
            ]))
 
 let tests =
   [
     Alcotest.test_case "counters saturate" `Quick test_counters_saturate;
-    Alcotest.test_case "bimodal learns bias" `Quick test_bimodal_learns_bias;
-    Alcotest.test_case "gshare learns alternation" `Quick test_gshare_learns_alternation;
-    Alcotest.test_case "bimodal misses alternation" `Quick test_bimodal_cannot_learn_alternation;
     Alcotest.test_case "tage learns long pattern" `Quick test_tage_learns_long_pattern;
     Alcotest.test_case "tage multiple branches" `Quick test_tage_multiple_branches;
     Alcotest.test_case "tage reset" `Quick test_tage_reset;

@@ -63,6 +63,16 @@ let sim_table =
       [ "fuzz"; "--count"; "1"; "--no-corpus"; "--fault"; "bogus" ],
       124,
       Ignore_output );
+    (* out-of-range workload parameters are usage errors, rejected by the
+       same check the daemon's request decoder applies *)
+    ( "microbench rejects a leaf outside 1..W+1",
+      [ "microbench"; "--leaf"; "9" ],
+      124,
+      Ignore_output );
+    ("rsa rejects a key wider than 16 bits", [ "rsa"; "--key"; "0x10000" ], 124,
+     Ignore_output);
+    ("djpeg rejects an unknown format", [ "djpeg"; "-f"; "bogus" ], 124,
+     Ignore_output);
     ("unknown subcommand fails", [ "frobnicate" ], 124, Ignore_output);
     ("bad flag value fails", [ "fuzz"; "--count"; "lots" ], 124, Ignore_output);
     ( "leakage rejects unknown channels",
@@ -202,6 +212,12 @@ let gate_table =
           perf_record "fib" "sampled" 20.0 ]
       ~args:[ "--min-work"; "500" ] ~expected_code:0;
   ]
+
+(* bench follows the same convention: a malformed -j is a usage error *)
+let bench_bad_jobs =
+  Alcotest.test_case "bench quick rejects a malformed -j" `Quick (fun () ->
+      let code, _ = run bench_exe [ "quick"; "-j"; "x" ] in
+      Alcotest.(check int) "exit code" 124 code)
 
 let gate_malformed =
   Alcotest.test_case "gate rejects malformed baselines" `Quick (fun () ->
@@ -354,4 +370,4 @@ let tests =
   List.map sim_case sim_table
   @ List.map golden_case golden_table
   @ gate_table
-  @ [ gate_malformed; trace_perfetto; leakage_attribute_json ]
+  @ [ bench_bad_jobs; gate_malformed; trace_perfetto; leakage_attribute_json ]

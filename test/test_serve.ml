@@ -222,6 +222,13 @@ let test_request_strict_decode () =
   rejected "unknown kernel"
     (with_workload_field simulate "kernel" (Json.Str "collatz"));
   rejected "width zero" (with_workload_field simulate "width" (Json.Int 0));
+  (* the leaf must be one of the W+1 chain exits: the decoder names the
+     field instead of letting the run fail later *)
+  (match Api.request_of_json (with_workload_field simulate "leaf" (Json.Int 9)) with
+   | Error msg ->
+     Alcotest.(check bool) ("leaf out of range names the field: " ^ msg) true
+       (String.starts_with ~prefix:"field \"leaf\"" msg)
+   | Ok _ -> Alcotest.fail "leaf out of range accepted");
   rejected "unknown format"
     (with_workload_field
        (Api.Simulate
