@@ -830,17 +830,17 @@ let jobs_arg =
 let set_jobs jobs =
   Batch.set_jobs (Option.value jobs ~default:(Batch.default_jobs ()))
 
-let runs_arg =
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
   in
+  Arg.conv (parse, Format.pp_print_int)
+
+let runs_arg =
   Arg.(
-    value & opt positive 3
+    value & opt (int_at_least 1) 3
     & info [ "runs" ] ~docv:"N"
         ~doc:"Timed repeats per perf measurement; the median is reported.")
 
@@ -890,18 +890,8 @@ let gate_cmd =
           ~doc:"Allowed rate drop below the baseline, in percent.")
   in
   let min_work =
-    let non_negative =
-      let parse s =
-        match int_of_string_opt s with
-        | Some n when n >= 0 -> Ok n
-        | _ ->
-          Error
-            (`Msg (Printf.sprintf "expected a non-negative instruction count, got %S" s))
-      in
-      Arg.conv (parse, Format.pp_print_int)
-    in
     Arg.(
-      value & opt non_negative 100_000
+      value & opt (int_at_least 0) 100_000
       & info [ "min-work" ] ~docv:"N"
           ~doc:"Fail any current record measured over fewer instructions.")
   in
