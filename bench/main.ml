@@ -645,15 +645,18 @@ let perf ~quick ~runs ~bench_json =
 
 (* `gate --baseline FILE [--current FILE] [--tolerance PCT]`: compare
    perf records (as written by --bench-json) and fail when any
-   simulation rate regresses past the tolerance. Without --current, a
-   fresh quick-sized measurement is taken — ci.sh passes the record file
-   its own quick run just wrote, so the gate costs nothing extra there. *)
+   simulation rate regresses past the tolerance, or when a record's
+   deterministic companions (instructions, cycles) differ from the
+   baseline's at all. Without --current, a fresh quick-sized
+   measurement is taken — ci.sh passes the record file its own quick
+   run just wrote, so the gate costs nothing extra there. *)
 
 type gate_rec = {
   g_workload : string;
   g_mode : string;
   g_rate : float;
   g_instructions : int;
+  g_cycles : int;
 }
 
 let gate_key r = r.g_workload ^ "/" ^ r.g_mode
@@ -683,6 +686,7 @@ let gate_rec_of_json file j =
     g_mode = str "mode";
     g_rate = num "minstr_per_s";
     g_instructions = int_of_float (num "instructions");
+    g_cycles = int_of_float (num "cycles");
   }
 
 let gate_recs_of_file file =
@@ -711,7 +715,8 @@ let run_gate ~baseline_file ~current ~tolerance ~min_work ~runs =
       ( List.map
           (fun r ->
             { g_workload = r.p_workload; g_mode = r.p_mode;
-              g_rate = minstr_per_s r; g_instructions = r.p_instructions })
+              g_rate = minstr_per_s r; g_instructions = r.p_instructions;
+              g_cycles = r.p_cycles })
           records,
         "fresh quick measurement" )
   in
@@ -764,10 +769,23 @@ let run_gate ~baseline_file ~current ~tolerance ~min_work ~runs =
             if b.g_rate > 0.0 then (c.g_rate -. b.g_rate) /. b.g_rate *. 100.0
             else 0.0
           in
+          (* Instructions and cycles are deterministic: any difference is
+             a behaviour change, not noise, so they match exactly. *)
+          let same_work =
+            c.g_instructions = b.g_instructions && c.g_cycles = b.g_cycles
+          in
+          if not same_work then
+            Printf.eprintf
+              "[gate] FAILED: %s simulated %d instructions / %d cycles, the \
+               baseline %d / %d; the simulated work changed\n%!"
+              (gate_key b) c.g_instructions c.g_cycles b.g_instructions
+              b.g_cycles;
           let ok = delta >= -.tolerance in
-          if not ok then failed := true;
+          if not (ok && same_work) then failed := true;
           [ b.g_workload; b.g_mode; rate b.g_rate; rate c.g_rate; pct delta;
-            (if ok then "ok" else "FAIL") ])
+            (if not same_work then "FAIL (work)"
+             else if ok then "ok"
+             else "FAIL") ])
       baseline
   in
   Printf.printf "Perf gate: %s vs %s (tolerance %.1f%%)\n%s\n%!" current_src
@@ -780,7 +798,8 @@ let run_gate ~baseline_file ~current ~tolerance ~min_work ~runs =
   if !failed then begin
     Printf.eprintf
       "[gate] FAILED: a simulation rate regressed more than %.1f%% below \
-       %s (or a record went missing); refresh the baseline with\n\
+       %s (or a record went missing, or its instructions/cycles changed); \
+       refresh the baseline with\n\
       \  dune exec bench/main.exe -- quick --bench-json bench/baseline.json\n\
        if the regression is intended\n%!"
       tolerance baseline_file;

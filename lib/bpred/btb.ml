@@ -19,7 +19,11 @@ let log2_pow2 n =
   done;
   !s
 
-let create ?(entries = 2048) ?(ways = 4) () =
+let default_entries = 2048
+let default_ways = 4
+let default_sets = default_entries / default_ways
+
+let create ?(entries = default_entries) ?(ways = default_ways) () =
   assert (entries mod ways = 0);
   let nsets = entries / ways in
   assert (nsets land (nsets - 1) = 0);
@@ -32,6 +36,8 @@ let create ?(entries = 2048) ?(ways = 4) () =
     lru = Array.make entries 0;
     clock = 0;
   }
+
+let sets t = t.nsets
 
 let set_base t pc = (pc land (t.nsets - 1)) * t.ways
 

@@ -9,6 +9,12 @@ type t
 val create : ?entries:int -> ?ways:int -> unit -> t
 (** Set-associative with LRU; [entries] defaults to 2048, [ways] to 4. *)
 
+val default_sets : int
+(** Sets of the table [create ()] builds (512). A pc maps to set
+    [pc land (sets - 1)]. *)
+
+val sets : t -> int
+
 val lookup : t -> pc:int -> int option
 (** Predicted target for the instruction at [pc], if cached. *)
 

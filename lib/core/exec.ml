@@ -41,6 +41,17 @@ let default_config =
 
 exception Out_of_bounds of { pc : int; addr : int }
 exception Budget_exceeded of int
+exception Stack_exhausted of { pc : int; sp : int; data_words : int }
+
+let () =
+  Printexc.register_printer (function
+    | Stack_exhausted { pc; sp; data_words } ->
+      Some
+        (Printf.sprintf
+           "Exec.Stack_exhausted: pc %d moved sp to %d, below the end of \
+            the %d-word data segment"
+           pc sp data_words)
+    | _ -> None)
 
 type result = {
   regs : int array;
@@ -438,7 +449,23 @@ let predecode st =
         if emit then sink ev;
         st.halted <- true
   in
-  Array.mapi decode st.prog.Program.code
+  (* The stack floor: the stack grows down from the top of memory toward
+     the data segment at [0, data_words), and nothing else separates the
+     two. Only the thunks that write [sp] check that it stays at or above
+     [data_words], so a run whose stack outgrows its image fails instead
+     of silently overwriting globals; no other instruction pays. *)
+  let floor = st.prog.Program.data_words in
+  let guard pc instr =
+    let thunk = decode pc instr in
+    if Instr.dest instr <> Some Reg.sp then thunk
+    else
+      fun () ->
+        thunk ();
+        let sp = regs.(Reg.sp) in
+        if sp < floor then
+          raise (Stack_exhausted { pc; sp; data_words = floor })
+  in
+  Array.mapi guard st.prog.Program.code
 
 type session = state
 

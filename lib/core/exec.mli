@@ -54,11 +54,21 @@ type config = {
 }
 
 val default_config : config
-(** [Sempe_hw], 1 MiB of words, 200M instruction budget, Table II SPM,
-    [No_fault]. *)
+(** [Sempe_hw], 2^20 words (8 MiB) of memory, 200M instruction budget,
+    Table II SPM, [No_fault]. *)
 
 exception Out_of_bounds of { pc : int; addr : int }
 exception Budget_exceeded of int
+
+exception Stack_exhausted of { pc : int; sp : int; data_words : int }
+(** The instruction at [pc] moved [sp] below [data_words], into the
+    static data segment of {!Sempe_isa.Program.t}. The stack starts at
+    [mem_words - 1] and grows down toward that segment with nothing in
+    between, so a stack that outgrows the image would otherwise overwrite
+    globals silently. The check is the same at every image size and is
+    compiled only into the instructions whose destination is
+    {!Sempe_isa.Reg.sp}; the lowest stack word a frame writes is [sp]
+    itself, so [sp = data_words] is still allowed. *)
 
 type result = {
   regs : int array;        (** architectural registers at [Halt] *)
@@ -78,7 +88,8 @@ val run :
 (** @raise Sempe_mem.Spm.Overflow or {!Jbtable.Overflow} when secure
     branches nest beyond the hardware budget.
     @raise Out_of_bounds on a wild access when [forgiving_oob] is false.
-    @raise Budget_exceeded when [max_instrs] is hit. *)
+    @raise Budget_exceeded when [max_instrs] is hit.
+    @raise Stack_exhausted when [sp] drops below the data segment. *)
 
 (** {2 Resumable execution}
 

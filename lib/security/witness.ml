@@ -50,10 +50,9 @@ let tag_stall = 8
 let tag_drain = 9
 let structure ~tag ~index = (tag lsl 24) lor (index land 0xffffff)
 
-(* The BTB is not parameterized by Config (Btb.create () builds the
-   default 2048-entry 4-way table), so the 512-set index mask is fixed;
-   keep in sync with Sempe_bpred.Btb. *)
-let btb_set_mask = 511
+(* The BTB is not parameterized by Config: the timing model builds it
+   with Btb.create (), so its set count is Btb.default_sets. *)
+let btb_set_mask = Sempe_bpred.Btb.default_sets - 1
 
 let structure_name sid =
   let tag = sid lsr 24 in

@@ -52,6 +52,11 @@ val cycle_at : t -> stream -> int -> int
 val instructions : t -> int
 (** Committed-µop count ([length t Trace]). *)
 
+val btb_set_mask : int
+(** Mask naming a BTB set in structure ids: [pc land btb_set_mask], with
+    [btb_set_mask = Sempe_bpred.Btb.default_sets - 1] since the timing
+    model builds the default BTB. *)
+
 val structure_name : int -> string
 (** Human name of a structure id, e.g. ["dl1[set 17]"], ["btb[set 405]"],
     ["predictor@pc 12"]. *)

@@ -3,6 +3,9 @@ module Run = Sempe_core.Run
 module Exec = Sempe_core.Exec
 module Codegen = Sempe_lang.Codegen
 module Shadow = Sempe_lang.Shadow
+module Config = Sempe_pipeline.Config
+module Cache = Sempe_mem.Cache
+module Hierarchy = Sempe_mem.Hierarchy
 
 type built = {
   scheme : Scheme.t;
@@ -43,8 +46,30 @@ let init_mem_of built ~globals ~arrays mem =
       Array.blit values 0 mem off size)
     arrays
 
-let run ?machine ?(mem_words = 1 lsl 20) ?max_instrs ?forgiving_oob ?fault
+let stack_reserve_words = 4096
+
+(* The period of a data cache's set index, in words: addresses that far
+   apart map to the same set. Set counts are powers of two (Cache.create
+   checks), so the largest span is a multiple of every smaller one. *)
+let set_span_words (machine : Config.t) =
+  let span (c : Cache.config) =
+    c.Cache.size_bytes / c.Cache.ways / machine.Config.word_bytes
+  in
+  let h = machine.Config.hierarchy in
+  max (span h.Hierarchy.dl1) (span h.Hierarchy.l2)
+
+let image_words ?(machine = Config.default) built =
+  let s = set_span_words machine in
+  let need = built.prog.Sempe_isa.Program.data_words + stack_reserve_words in
+  (need + s - 1) / s * s
+
+let run ?machine ?mem_words ?max_instrs ?forgiving_oob ?fault
     ?(globals = []) ?(arrays = []) ?observe ?sink built =
+  let mem_words =
+    match mem_words with
+    | Some w -> w
+    | None -> image_words ?machine built
+  in
   Run.simulate
     ~support:(Scheme.support built.scheme)
     ?machine ~mem_words ?max_instrs ?forgiving_oob ?fault

@@ -137,13 +137,13 @@ let sim_case (name, args, expected_code, expect) =
 
 (* ---- the bench perf gate, against handcrafted record files ---- *)
 
-let perf_record ?(instructions = 200_000) workload mode rate =
+let perf_record ?(instructions = 200_000) ?(cycles = 1000) workload mode rate =
   Json.Obj
     [
       ("workload", Json.Str workload);
       ("mode", Json.Str mode);
       ("instructions", Json.Int instructions);
-      ("cycles", Json.Int 1000);
+      ("cycles", Json.Int cycles);
       ("wall_s", Json.Float 0.01);
       ("minstr_per_s", Json.Float rate);
       ("speedup", Json.Float 1.0);
@@ -173,6 +173,10 @@ let gate_case name ~baseline ~current ~args ~expected_code =
 let base_records =
   [ perf_record "fib" "full" 10.0; perf_record "fib" "sampled" 20.0 ]
 
+let small_records =
+  [ perf_record ~instructions:1000 "fib" "full" 10.0;
+    perf_record "fib" "sampled" 20.0 ]
+
 let gate_table =
   [
     gate_case "gate passes on identical records" ~baseline:base_records
@@ -200,17 +204,25 @@ let gate_table =
         [ perf_record "fib" "full" 100.0; perf_record "fib" "sampled" 99.0 ]
       ~args:[ "--tolerance"; "1000" ] ~expected_code:1;
     (* measured-work floor: a current record over too few instructions
-       fails the gate even when its rate looks fine *)
-    gate_case "gate fails below the min-work floor" ~baseline:base_records
+       fails the gate even when its rate looks fine (the baseline has the
+       same small record, so only the floor can fail it) *)
+    gate_case "gate fails below the min-work floor" ~baseline:small_records
+      ~current:small_records ~args:[] ~expected_code:1;
+    gate_case "gate min-work floor is configurable" ~baseline:small_records
+      ~current:small_records ~args:[ "--min-work"; "500" ] ~expected_code:0;
+    (* instructions and cycles are deterministic companions of the rate:
+       any difference from the baseline fails, however fast the run *)
+    gate_case "gate fails on a changed instruction count"
+      ~baseline:base_records
       ~current:
-        [ perf_record ~instructions:1000 "fib" "full" 10.0;
+        [ perf_record ~instructions:200_001 "fib" "full" 10.0;
           perf_record "fib" "sampled" 20.0 ]
-      ~args:[] ~expected_code:1;
-    gate_case "gate min-work floor is configurable" ~baseline:base_records
+      ~args:[ "--tolerance"; "1000" ] ~expected_code:1;
+    gate_case "gate fails on a changed cycle count" ~baseline:base_records
       ~current:
-        [ perf_record ~instructions:1000 "fib" "full" 10.0;
-          perf_record "fib" "sampled" 20.0 ]
-      ~args:[ "--min-work"; "500" ] ~expected_code:0;
+        [ perf_record "fib" "full" 10.0;
+          perf_record ~cycles:999 "fib" "sampled" 20.0 ]
+      ~args:[ "--tolerance"; "1000" ] ~expected_code:1;
   ]
 
 (* bench follows the same convention: a malformed -j is a usage error *)

@@ -312,9 +312,135 @@ let test_sampling_workers () =
        e4.Sempe_sampling.Sampling.cycles_estimate)
     true (e1 = e4)
 
+(* ---- the sized memory image is invisible ------------------------------ *)
+
+(* [Harness.run] sizes its image from the program ([Harness.image_words])
+   instead of allocating 2^20 words. Every curated workload must give the
+   same result, data segment and report bytes either way. Strict OOB, so
+   no access can be clamped differently by the two image sizes. *)
+
+module Api = Sempe_serve.Api
+module Run = Sempe_core.Run
+
+let big_image = 1 lsl 20
+
+let image_workloads =
+  List.concat_map
+    (fun (k : Kernels.t) ->
+      List.concat_map
+        (fun width ->
+          List.map
+            (fun leaf ->
+              Api.Microbench
+                { kernel = k.Kernels.name; width; iters = 1; leaf })
+            [ 1; width + 1 ])
+        [ 1; 2; 3; 4; 6 ])
+    Kernels.all
+  @ List.concat_map
+      (fun format ->
+        List.map
+          (fun blocks -> Api.Djpeg { format; blocks; seed = 1 })
+          [ 1; 5; 64 ])
+      (List.map Sempe_workloads.Djpeg.format_name
+         Sempe_workloads.Djpeg.all_formats)
+  @ List.map (fun key -> Api.Rsa { key }) [ 0; 0xBEEF; 0xFFFF ]
+
+let check_image_independent scheme workload =
+  let what =
+    Printf.sprintf "%s / %s" (Scheme.name scheme) (Api.describe workload)
+  in
+  let built = Api.build scheme workload in
+  let globals, arrays = Api.inputs workload in
+  let run ?mem_words () =
+    Harness.run ?mem_words ~forgiving_oob:false ~globals ~arrays built
+  in
+  let sized = run () and big = run ~mem_words:big_image () in
+  let data_words = built.Harness.prog.Program.data_words in
+  let data (o : Run.outcome) = Array.sub o.Run.exec.Exec.memory 0 data_words in
+  let report (o : Run.outcome) =
+    Sempe_obs.Json.to_string (Sempe_obs.Report.to_json o.Run.timing)
+  in
+  let words = Array.length sized.Run.exec.Exec.memory in
+  Alcotest.(check int) (what ^ ": default image") (Harness.image_words built)
+    words;
+  Alcotest.(check bool) (what ^ ": image is smaller") true (words < big_image);
+  Alcotest.(check int) (what ^ ": return value") (Harness.return_value big)
+    (Harness.return_value sized);
+  Alcotest.(check bool) (what ^ ": data segment") true (data big = data sized);
+  Alcotest.(check string) (what ^ ": report") (report big) (report sized)
+
+let test_image_size_independence () =
+  List.iter
+    (fun scheme ->
+      List.iter (check_image_independent scheme) image_workloads)
+    Scheme.all
+
+(* A recursion deeper than the sized image's stack reserve must stop at
+   the data segment with the structured error, in either OOB mode, rather
+   than overwrite the global and return a wrong sum. The 2^20-word image
+   has room for it and returns the right answer. *)
+let deep_recursion =
+  let open Sempe_lang.Ast in
+  let depth = 10_000 in
+  let prog =
+    {
+      funcs =
+        [
+          {
+            fname = "down";
+            params = [ "n" ];
+            locals = [];
+            body =
+              [
+                if_ (v "n" =: i 0) [ ret (i 0) ]
+                  [ ret (Call ("down", [ v "n" -: i 1 ]) +: i 1) ];
+              ];
+          };
+          {
+            fname = "main";
+            params = [];
+            locals = [ "r" ];
+            body =
+              [
+                assign "g" (i 7);
+                assign "r" (Call ("down", [ i depth ]));
+                ret (v "r" +: v "g");
+              ];
+          };
+        ];
+      globals = [ "g" ];
+      arrays = [];
+      secrets = [];
+      main = "main";
+    }
+  in
+  (prog, depth + 7)
+
+let test_stack_floor () =
+  let prog, expected = deep_recursion in
+  let built = Harness.build Scheme.Baseline prog in
+  let data_words = built.Harness.prog.Program.data_words in
+  List.iter
+    (fun forgiving_oob ->
+      match Harness.run ~forgiving_oob built with
+      | exception Exec.Stack_exhausted { sp; data_words = floor; _ } ->
+        Alcotest.(check int) "floor is the data segment end" data_words floor;
+        Alcotest.(check bool) "sp stopped below the floor" true (sp < floor)
+      | o ->
+        Alcotest.failf "forgiving_oob=%b: returned %d instead of failing"
+          forgiving_oob (Harness.return_value o))
+    [ true; false ];
+  let big = Harness.run ~mem_words:big_image built in
+  Alcotest.(check int) "2^20-word image returns the sum" expected
+    (Harness.return_value big)
+
 let tests =
   [
     Alcotest.test_case "fuzz cases old-vs-new" `Quick test_fuzz_cases;
     Alcotest.test_case "microbench old-vs-new" `Quick test_microbench;
     Alcotest.test_case "sampling worker independence" `Quick test_sampling_workers;
+    Alcotest.test_case "sized image matches 2^20 words" `Slow
+      test_image_size_independence;
+    Alcotest.test_case "stack floor stops deep recursion" `Quick
+      test_stack_floor;
   ]

@@ -364,9 +364,21 @@ let test_attribution_stack_sums () =
       [ Scheme.Baseline; Scheme.Sempe ]
   done
 
+(* Witness names BTB sets with a mask it cannot read off a live BTB (it
+   only sees probe events); pin it to the table the timing model builds. *)
+let test_btb_set_mask () =
+  let btb =
+    Sempe_pipeline.Warm.btb
+      (Sempe_pipeline.Timing.warm_state (Sempe_pipeline.Timing.create ()))
+  in
+  Alcotest.(check int) "mask covers the timing model's BTB sets"
+    (Sempe_bpred.Btb.sets btb) (Witness.btb_set_mask + 1)
+
 let tests =
   tests
   @ [
+      Alcotest.test_case "btb set mask matches the timing model" `Quick
+        test_btb_set_mask;
       Alcotest.test_case "extract collision caught by fingerprint" `Quick
         test_extract_collision_caught;
       Alcotest.test_case "channel names round-trip" `Quick
