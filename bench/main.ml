@@ -338,20 +338,28 @@ let measure_perf ~quick ~runs =
     workloads;
   (List.rev !records, List.rev !smoke_failures)
 
-(* ---- serving daemon: cold vs cache-warm sweep latency ----
+(* ---- serving: cold vs cache-warm sweep latency ----
 
-   An in-process daemon on a temp unix socket, swept with the same
-   workloads the rate benchmark measures: once cold (every request is a
-   real simulation) and [--runs] times warm (every request is served
-   from the result cache). The records ride along in --bench-json but
-   are deliberately NOT part of the committed baseline: wall-clock
-   serving latency on a loaded CI box is not a rate the gate should hold
-   the simulator to. They still clear the gate's min-work floor — the
-   instruction counts are the sweep's real simulated work. *)
-let serve_perf ~quick ~runs =
-  let module Server = Sempe_serve.Server in
-  let module Client = Sempe_serve.Client in
-  let module Api = Sempe_serve.Api in
+   A sweep of the workloads the rate benchmark measures, sent through an
+   in-process front end on a temp unix socket: once cold (every request
+   is a real simulation) and [--runs] times warm (every request is
+   served from a result cache). Two front ends are measured: one daemon
+   ([serve-sweep]), and a consistent-hash router over two shards
+   ([fleet-sweep]) — what the fleet smoke in CI runs as subprocesses.
+   The fleet's warm pass isolates the router's relay overhead: every
+   request is a per-shard cache hit, so the delta against the daemon's
+   warm p50 is the price of the extra hop. The records ride along in
+   --bench-json but are deliberately NOT part of the committed
+   baseline: wall-clock serving latency on a loaded CI box is not a
+   rate the gate should hold the simulator to. They still clear the
+   gate's min-work floor — the instruction counts are the sweep's real
+   simulated work. *)
+module Api = Sempe_serve.Api
+module Server = Sempe_serve.Server
+module Router = Sempe_serve.Router
+module Client = Sempe_serve.Client
+
+let serve_sweep ~quick =
   let iters = if quick then 30 else 100 in
   let blocks = if quick then 8 else 64 in
   let fib scheme =
@@ -363,178 +371,38 @@ let serve_perf ~quick ~runs =
         strict_oob = false;
       }
   in
-  let sweep =
-    [
-      fib Sempe_core.Scheme.Sempe;
-      fib Sempe_core.Scheme.Baseline;
-      Api.Simulate
-        {
-          scheme = Sempe_core.Scheme.Sempe;
-          workload = Api.Djpeg { format = "PPM"; blocks; seed = 42 };
-          strict_oob = false;
-        };
-    ]
-  in
+  [
+    fib Sempe_core.Scheme.Sempe;
+    fib Sempe_core.Scheme.Baseline;
+    Api.Simulate
+      {
+        scheme = Sempe_core.Scheme.Sempe;
+        workload = Api.Djpeg { format = "PPM"; blocks; seed = 42 };
+        strict_oob = false;
+      };
+  ]
+
+let bench_sock name =
   let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sempe-bench-%d.sock" (Unix.getpid ()))
-  in
-  if Sys.file_exists path then Sys.remove path;
-  let server =
-    Server.start
-      ~config:{ Server.default_config with workers = 2 }
-      (Server.Unix_sock path)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop server;
-      if Sys.file_exists path then Sys.remove path)
-  @@ fun () ->
-  let conn = Client.connect (Server.Unix_sock path) in
-  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
-  let call req =
-    match Client.call conn req with
-    | Ok doc -> doc
-    | Error { Client.code; message } ->
-      Printf.eprintf "[bench] serve sweep failed (%s): %s\n%!" code message;
-      exit 1
-  in
-  let sweep_once () =
-    List.map
-      (fun req ->
-        let t0 = Pool.now_s () in
-        let doc = call req in
-        (doc, Pool.now_s () -. t0))
-      sweep
-  in
-  let cold = sweep_once () in
-  let warm = List.init runs (fun _ -> sweep_once ()) in
-  let p50 lat =
-    let a = Array.of_list (List.sort compare lat) in
-    a.(Array.length a / 2)
-  in
-  let int_member names doc =
-    let rec go doc = function
-      | [] -> ( match doc with Json.Int i -> i | _ -> 0)
-      | name :: rest -> (
-        match Json.member name doc with Some v -> go v rest | None -> 0)
-    in
-    go doc names
-  in
-  let sum f = List.fold_left (fun acc (doc, _) -> acc + f doc) 0 cold in
-  let instructions = sum (int_member [ "report"; "instructions" ]) in
-  let cycles = sum (int_member [ "report"; "cycles" ]) in
-  let total sw = List.fold_left (fun acc (_, dt) -> acc +. dt) 0. sw in
-  let cold_s = total cold in
-  let warm_s =
-    let a = Array.of_list (List.sort compare (List.map total warm)) in
-    if runs land 1 = 1 then a.(runs / 2)
-    else (a.((runs / 2) - 1) +. a.(runs / 2)) /. 2.0
-  in
-  let records =
-    [
-      {
-        p_workload = "serve-sweep";
-        p_mode = "cold";
-        p_instructions = instructions;
-        p_cycles = cycles;
-        p_wall_s = cold_s;
-        p_speedup = 1.0;
-      };
-      {
-        p_workload = "serve-sweep";
-        p_mode = "warm";
-        p_instructions = instructions;
-        p_cycles = cycles;
-        p_wall_s = warm_s;
-        p_speedup = (if warm_s > 0. then cold_s /. warm_s else 0.);
-      };
-    ]
-  in
-  let cold_p50 = p50 (List.map snd cold) in
-  let warm_p50 = p50 (List.concat_map (List.map snd) warm) in
-  let text =
-    Printf.sprintf
-      "sweep of %d requests against an in-process daemon (unix socket, 2 \
-       workers)\n\
-       cold:  %.1f ms total, p50 %.2f ms\n\
-       warm:  %.1f ms total, p50 %.2f ms (result cache)\n\
-       warm speedup: %s total, %s at p50"
-      (List.length sweep) (1e3 *. cold_s) (1e3 *. cold_p50) (1e3 *. warm_s)
-      (1e3 *. warm_p50)
-      (Tablefmt.times (if warm_s > 0. then cold_s /. warm_s else 0.))
-      (Tablefmt.times (if warm_p50 > 0. then cold_p50 /. warm_p50 else 0.))
-  in
-  (records, text)
-
-(* ---- serving fleet: the same sweep through a router over 2 shards ----
-
-   Same sweep and cold/warm shape as {!serve_perf}, but through a
-   [router] front end consistent-hashing onto two in-process shards —
-   what the fleet smoke in CI runs as subprocesses, measured here
-   in-process. The warm pass isolates the router's relay overhead:
-   every request is a per-shard cache hit, so the delta against the
-   single-daemon warm p50 is the price of the extra hop. Like the
-   serve records, these ride in --bench-json but stay out of the
-   committed baseline. *)
-let fleet_perf ~quick ~runs =
-  let module Server = Sempe_serve.Server in
-  let module Router = Sempe_serve.Router in
-  let module Client = Sempe_serve.Client in
-  let module Api = Sempe_serve.Api in
-  let iters = if quick then 30 else 100 in
-  let blocks = if quick then 8 else 64 in
-  let fib scheme =
-    Api.Simulate
-      {
-        scheme;
-        workload =
-          Api.Microbench { kernel = "fibonacci"; width = 4; iters; leaf = 1 };
-        strict_oob = false;
-      }
-  in
-  let sweep =
-    [
-      fib Sempe_core.Scheme.Sempe;
-      fib Sempe_core.Scheme.Baseline;
-      Api.Simulate
-        {
-          scheme = Sempe_core.Scheme.Sempe;
-          workload = Api.Djpeg { format = "PPM"; blocks; seed = 42 };
-          strict_oob = false;
-        };
-    ]
-  in
-  let sock name =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "sempe-bench-%d-%s.sock" (Unix.getpid ()) name)
   in
-  let s0 = sock "shard0" and s1 = sock "shard1" and rt = sock "router" in
-  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ s0; s1; rt ];
-  let shard_cfg = { Server.default_config with workers = 2 } in
-  let shard0 = Server.start ~config:shard_cfg (Server.Unix_sock s0) in
-  let shard1 = Server.start ~config:shard_cfg (Server.Unix_sock s1) in
-  let router =
-    Router.start
-      ~shards:[ Server.Unix_sock s0; Server.Unix_sock s1 ]
-      (Server.Unix_sock rt)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Router.stop router;
-      Server.stop shard0;
-      Server.stop shard1;
-      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ s0; s1; rt ])
-  @@ fun () ->
-  let conn = Client.connect (Server.Unix_sock rt) in
+  if Sys.file_exists path then Sys.remove path;
+  Server.Unix_sock path
+
+(* Measure [sweep] through the front end at [addr]; [stop] shuts the
+   front end down afterwards. [workload] names the records; [title] and
+   [cache] label the section text. *)
+let sweep_perf ~runs ~workload ~title ~cache sweep addr ~stop =
+  Fun.protect ~finally:stop @@ fun () ->
+  let conn = Client.connect addr in
   Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
   let call req =
     match Client.call conn req with
     | Ok doc -> doc
     | Error { Client.code; message } ->
-      Printf.eprintf "[bench] fleet sweep failed (%s): %s\n%!" code message;
+      Printf.eprintf "[bench] %s failed (%s): %s\n%!" workload code message;
       exit 1
   in
   let sweep_once () =
@@ -569,44 +437,72 @@ let fleet_perf ~quick ~runs =
     if runs land 1 = 1 then a.(runs / 2)
     else (a.((runs / 2) - 1) +. a.(runs / 2)) /. 2.0
   in
+  let record p_mode p_wall_s p_speedup =
+    {
+      p_workload = workload;
+      p_mode;
+      p_instructions = instructions;
+      p_cycles = cycles;
+      p_wall_s;
+      p_speedup;
+    }
+  in
   let records =
     [
-      {
-        p_workload = "fleet-sweep";
-        p_mode = "cold";
-        p_instructions = instructions;
-        p_cycles = cycles;
-        p_wall_s = cold_s;
-        p_speedup = 1.0;
-      };
-      {
-        p_workload = "fleet-sweep";
-        p_mode = "warm";
-        p_instructions = instructions;
-        p_cycles = cycles;
-        p_wall_s = warm_s;
-        p_speedup = (if warm_s > 0. then cold_s /. warm_s else 0.);
-      };
+      record "cold" cold_s 1.0;
+      record "warm" warm_s (if warm_s > 0. then cold_s /. warm_s else 0.);
     ]
   in
   let cold_p50 = p50 (List.map snd cold) in
   let warm_p50 = p50 (List.concat_map (List.map snd) warm) in
   let text =
     Printf.sprintf
-      "same sweep through a consistent-hash router over 2 in-process shards\n\
+      "%s\n\
        cold:  %.1f ms total, p50 %.2f ms\n\
-       warm:  %.1f ms total, p50 %.2f ms (per-shard result cache)\n\
+       warm:  %.1f ms total, p50 %.2f ms (%s)\n\
        warm speedup: %s total, %s at p50"
-      (1e3 *. cold_s) (1e3 *. cold_p50) (1e3 *. warm_s) (1e3 *. warm_p50)
+      title (1e3 *. cold_s) (1e3 *. cold_p50) (1e3 *. warm_s)
+      (1e3 *. warm_p50) cache
       (Tablefmt.times (if warm_s > 0. then cold_s /. warm_s else 0.))
       (Tablefmt.times (if warm_p50 > 0. then cold_p50 /. warm_p50 else 0.))
   in
   (records, text)
 
+let serving_perf ~quick ~runs =
+  let sweep = serve_sweep ~quick in
+  let config = { Server.default_config with workers = 2 } in
+  let daemon = bench_sock "daemon" in
+  let server = Server.start ~config daemon in
+  let serve =
+    sweep_perf ~runs ~workload:"serve-sweep"
+      ~title:
+        (Printf.sprintf
+           "sweep of %d requests against an in-process daemon (unix socket, 2 \
+            workers)"
+           (List.length sweep))
+      ~cache:"result cache" sweep daemon
+      ~stop:(fun () -> Server.stop server)
+  in
+  let s0 = bench_sock "shard0" and s1 = bench_sock "shard1" in
+  let shard0 = Server.start ~config s0 and shard1 = Server.start ~config s1 in
+  let rt = bench_sock "router" in
+  let router = Router.start ~shards:[ s0; s1 ] rt in
+  let fleet =
+    sweep_perf ~runs ~workload:"fleet-sweep"
+      ~title:"same sweep through a consistent-hash router over 2 in-process shards"
+      ~cache:"per-shard result cache" sweep rt
+      ~stop:(fun () ->
+        Router.stop router;
+        Server.stop shard0;
+        Server.stop shard1)
+  in
+  (serve, fleet)
+
 let perf ~quick ~runs ~bench_json =
   let records, smoke_failures = measure_perf ~quick ~runs in
-  let serve_records, serve_text = serve_perf ~quick ~runs in
-  let fleet_records, fleet_text = fleet_perf ~quick ~runs in
+  let (serve_records, serve_text), (fleet_records, fleet_text) =
+    serving_perf ~quick ~runs
+  in
   let records = records @ serve_records @ fleet_records in
   section "Simulation rate (full vs sampled, 25% coverage)"
     (Tablefmt.render

@@ -19,6 +19,7 @@ module Sampling = Sempe_sampling.Sampling
 module Pool = Sempe_util.Pool
 module Api = Sempe_serve.Api
 module Server = Sempe_serve.Server
+module Wire = Sempe_serve.Wire
 module Router = Sempe_serve.Router
 module Client = Sempe_serve.Client
 module Loadgen = Sempe_serve.Loadgen
@@ -765,7 +766,7 @@ let connect_arg =
            unix socket path.")
 
 let parse_addr s =
-  match Server.addr_of_string s with
+  match Wire.addr_of_string s with
   | Ok addr -> addr
   | Error msg ->
     Printf.eprintf "bad address %S: %s\n" s msg;
@@ -781,7 +782,6 @@ let serve_cmd =
     Batch.set_jobs 1;
     let config =
       {
-        Server.default_config with
         Server.workers = max 1 workers;
         result_entries = max 1 result_entries;
         plan_entries = max 1 plan_entries;
@@ -793,7 +793,7 @@ let serve_cmd =
     in
     let t = Server.start ~config addr in
     Printf.eprintf "sempe-sim serve: listening on %s (%d workers)\n%!"
-      (Server.addr_to_string (Server.addr t))
+      (Wire.addr_to_string (Server.addr t))
       config.Server.workers;
     let on_signal _ = Server.request_stop t in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -1056,7 +1056,6 @@ let router_cmd =
     let shard_addrs = List.map parse_addr shards in
     let config =
       {
-        Router.default_config with
         Router.replicas = max 1 replicas;
         retries = max 1 retries;
         backoff_s = Float.max 0. backoff_s;
@@ -1066,7 +1065,7 @@ let router_cmd =
     in
     let t = Router.start ~config ~shards:shard_addrs addr in
     Printf.eprintf "sempe-sim router: listening on %s, %d shard(s)\n%!"
-      (Server.addr_to_string (Router.addr t))
+      (Wire.addr_to_string (Router.addr t))
       (List.length shard_addrs);
     let on_signal _ = Router.request_stop t in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -1197,7 +1196,7 @@ let fleet_cmd =
         addr
     in
     Printf.eprintf "sempe-sim fleet: %d shard(s) up, router on %s\n%!" shards
-      (Server.addr_to_string (Router.addr t));
+      (Wire.addr_to_string (Router.addr t));
     let on_signal _ = Router.request_stop t in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);

@@ -48,7 +48,9 @@ let run scheme ~secret =
       ~globals:[ ("is_admin", secret) ]
       ~observe:(Observable.feed recorder) built
   in
-  (Harness.return_value outcome, Run.cycles outcome, Observable.pc_digest recorder)
+  ( Harness.return_value outcome,
+    Run.cycles outcome,
+    (Observable.view recorder outcome.Run.timing).Observable.pc_digest )
 
 let () =
   print_endline "=== quickstart: one secret branch, two machines ===\n";

@@ -24,19 +24,8 @@ let channel_name = function
 let channel_of_name name =
   List.find_opt (fun ch -> channel_name ch = name) channels
 
-let extract ch (view : Observable.view) =
-  match ch with
-  | Timing -> view.Observable.cycles
-  | Trace -> view.Observable.pc_digest
-  | Address -> view.Observable.addr_digest
-  | Icache -> view.Observable.il1_sig
-  | Dcache -> view.Observable.dl1_sig
-  | L2 -> view.Observable.l2_sig
-  | Bpred -> view.Observable.bpred_sig
-  | Instruction_count -> view.Observable.instructions
-
 (* Structural fingerprint: several independent components per channel
-   instead of [extract]'s single int, so two genuinely different attacker
+   instead of a single int, so two genuinely different attacker
    views cannot collide into "no leak" through one unlucky hash. Two
    digests over the same stream only agree by accident with probability
    ~2^-126, and the stream length / access counters are exact. *)

@@ -18,11 +18,6 @@ val channel_of_name : string -> channel option
 (** Inverse of {!channel_name}; [None] on an unknown name. Used by CLI
     channel filters. *)
 
-val extract : channel -> Observable.view -> int
-(** Single-int projection of a channel — retained for callers that only
-    need a scalar (e.g. timing histograms). {b Not} collision-free:
-    comparisons should use {!fingerprint}. *)
-
 val fingerprint : channel -> Observable.view -> int list
 (** Structural digest of a channel: independent components (paired
     stream digests, stream lengths, access/miss counters) that must all

@@ -6,7 +6,6 @@ type recorder = {
   mutable pc_digest2 : int;
   mutable addr_digest : int;
   mutable addr_digest2 : int;
-  mutable commits : int;
   mutable mem_ops : int;
 }
 
@@ -24,13 +23,11 @@ let recorder () =
     pc_digest2 = 1099511628211;
     addr_digest = 2166136261;
     addr_digest2 = 1099511628211;
-    commits = 0;
     mem_ops = 0;
   }
 
 let feed r = function
   | Uop.Commit u ->
-    r.commits <- r.commits + 1;
     r.pc_digest <- fnv r.pc_digest u.Uop.pc;
     r.pc_digest2 <- fnv2 r.pc_digest2 u.Uop.pc;
     (match u.Uop.cls with
@@ -43,11 +40,6 @@ let feed r = function
      | Sempe_isa.Instr.Cls_branch | Sempe_isa.Instr.Cls_jump
      | Sempe_isa.Instr.Cls_eosjmp | Sempe_isa.Instr.Cls_halt -> ())
   | Uop.Drain _ -> ()
-
-let pc_digest r = r.pc_digest
-let addr_digest r = r.addr_digest
-let commits r = r.commits
-let mem_ops r = r.mem_ops
 
 type view = {
   cycles : int;

@@ -15,16 +15,6 @@ type recorder
 val recorder : unit -> recorder
 val feed : recorder -> Sempe_pipeline.Uop.event -> unit
 
-val pc_digest : recorder -> int
-(** Digest of the committed-PC sequence (execution-trace channel). *)
-
-val addr_digest : recorder -> int
-(** Digest of the load/store word-address sequence (memory access-pattern
-    channel). *)
-
-val commits : recorder -> int
-val mem_ops : recorder -> int
-
 type view = {
   cycles : int;          (** end-to-end time (timing channel) *)
   instructions : int;

@@ -4,23 +4,7 @@ type conn = { fd : Unix.file_descr; mutable next_id : int; mutable open_ : bool 
 
 type error = { code : string; message : string }
 
-let connect address =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  match address with
-  | Server.Unix_sock path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e -> (try Unix.close fd with _ -> ()); raise e);
-    { fd; next_id = 1; open_ = true }
-  | Server.Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-     with e -> (try Unix.close fd with _ -> ()); raise e);
-    { fd; next_id = 1; open_ = true }
+let connect address = { fd = Wire.connect address; next_id = 1; open_ = true }
 
 let close conn =
   if conn.open_ then begin
@@ -96,10 +80,8 @@ let call conn request = Result.map fst (call_cached conn request)
 
 let op conn name = roundtrip conn [ ("op", Json.Str name) ]
 
-let ping conn =
-  match op conn "ping" with Ok _ -> Ok () | Error e -> Error e
+let ping conn = Result.map ignore (op conn "ping")
 
 let stats conn = Result.map fst (op conn "stats")
 
-let shutdown conn =
-  match op conn "shutdown" with Ok _ -> Ok () | Error e -> Error e
+let shutdown conn = Result.map ignore (op conn "shutdown")

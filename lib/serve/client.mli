@@ -1,6 +1,6 @@
-(** Client side of the serving protocol: one framed JSON request per
-    call, replies matched by construction (the protocol is strictly
-    request/response in order on a connection). *)
+(** Client side of the serving protocol ({!Wire}): one framed JSON
+    request per call, replies matched by construction (the protocol is
+    strictly request/response in order on a connection). *)
 
 module Json = Sempe_obs.Json
 
@@ -11,8 +11,9 @@ type error = { code : string; message : string }
     ["closed"] / ["protocol"] error when the connection died or the reply
     was malformed. *)
 
-val connect : Server.addr -> conn
-(** @raise Unix.Unix_error when the daemon is not reachable. *)
+val connect : Wire.addr -> conn
+(** @raise Unix.Unix_error when the daemon is not reachable or its host
+    does not resolve. *)
 
 val close : conn -> unit
 (** Idempotent. *)
@@ -28,7 +29,8 @@ val call_cached : conn -> Api.request -> (Json.t * bool, error) result
 val ping : conn -> (unit, error) result
 
 val stats : conn -> (Json.t, error) result
-(** The daemon's counter document (see {!Server.stats_json}). *)
+(** The front end's counter document (see {!Server.stats_json} and
+    {!Router.stats_json}). *)
 
 val shutdown : conn -> (unit, error) result
 (** Ask the daemon to stop (it replies before shutting down). *)

@@ -50,7 +50,7 @@ val gated_p99 : Sempe_util.Stats.Summary.t -> float option
 (** The p99 policy by itself: [None] below {!p99_floor} observations,
     the nearest-rank percentile otherwise. *)
 
-val run : Server.addr -> config -> outcome
+val run : Wire.addr -> config -> outcome
 (** @raise Invalid_argument on an empty mix or non-positive counts. *)
 
 val to_json : outcome -> Sempe_obs.Json.t

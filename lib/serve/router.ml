@@ -83,8 +83,6 @@ type config = {
   retries : int;
   backoff_s : float;
   health_period_s : float;
-  max_connections : int;
-  max_frame : int;
   verbose : bool;
 }
 
@@ -94,89 +92,37 @@ let default_config =
     retries = 2;
     backoff_s = 0.05;
     health_period_s = 0.5;
-    max_connections = 64;
-    max_frame = Frame.max_len_default;
     verbose = false;
   }
 
 type shard = {
-  s_addr : Server.addr;
+  s_addr : Wire.addr;
   mutable s_alive : bool;
   mutable s_forwarded : int;
 }
 
 type t = {
   cfg : config;
-  address : Server.addr;
-  listen_fd : Unix.file_descr;
+  wire : Wire.t;
   ring : Ring.t;
   shards : shard array;
   m : Mutex.t;
-  mutable requests : int;
   mutable forwarded : int;
   mutable retried : int;
   mutable failovers : int;
-  mutable errors : int;
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable active : int;
-  mutable conns : (int * Unix.file_descr) list;
-  mutable next_conn : int;
-  stop_flag : bool Atomic.t;
-  stop_done : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
-  mutable health_thread : Thread.t option;
-  mutable handler_threads : Thread.t list;
 }
 
-let addr t = t.address
+let addr t = Wire.addr t.wire
 
-let request_stop t = Atomic.set t.stop_flag true
+let request_stop t = Wire.request_stop t.wire
 
 let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
+let op_doc name = Json.to_string (Json.Obj [ ("op", Json.Str name) ])
+
 (* ---- forwarding ---- *)
-
-let connect_fd = function
-  | Server.Unix_sock path ->
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX path)
-     with e ->
-       (try Unix.close fd with _ -> ());
-       raise e);
-    fd
-  | Server.Tcp (host, port) ->
-    let inet =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-     with e ->
-       (try Unix.close fd with _ -> ());
-       raise e);
-    fd
-
-(* One attempt: fresh connection, the client's own payload bytes out,
-   the shard's reply bytes back. *)
-let try_shard t shard payload =
-  match connect_fd shard.s_addr with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error (Printf.sprintf "connect: %s" (Unix.error_message e))
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with _ -> ())
-      (fun () ->
-        match
-          Frame.write fd payload;
-          Frame.read ~max_len:t.cfg.max_frame fd
-        with
-        | Some reply -> Ok reply
-        | None -> Error "shard closed the connection"
-        | exception Frame.Frame_error msg -> Error msg
-        | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
 
 let forward t key payload =
   let ring_order = Ring.order t.ring key in
@@ -188,12 +134,14 @@ let forward t key payload =
     List.partition (fun i -> locked t (fun () -> t.shards.(i).s_alive)) ring_order
   in
   let rec try_shards ~first = function
-    | [] -> Error ("unavailable", "no shard could serve the request")
+    | [] -> Wire.Error_reply ("unavailable", "no shard could serve the request")
     | idx :: rest ->
       let shard = t.shards.(idx) in
       if not first then locked t (fun () -> t.failovers <- t.failovers + 1);
+      (* Each attempt is a fresh connection carrying the client's own
+         payload bytes; the shard's reply bytes come back untouched. *)
       let rec attempt n backoff =
-        match try_shard t shard payload with
+        match Wire.exchange shard.s_addr payload with
         | Ok reply ->
           locked t (fun () ->
               shard.s_alive <- true;
@@ -208,58 +156,46 @@ let forward t key payload =
           locked t (fun () -> shard.s_alive <- false);
           if t.cfg.verbose then
             Printf.eprintf "[router] shard %s down: %s\n%!"
-              (Server.addr_to_string shard.s_addr)
+              (Wire.addr_to_string shard.s_addr)
               msg;
-          Error ("unavailable", msg)
+          Error msg
       in
       (match attempt 1 t.cfg.backoff_s with
-       | Ok reply -> Ok reply
+       | Ok reply -> Wire.Relay reply
        | Error _ -> try_shards ~first:false rest)
   in
   try_shards ~first:true (alive @ dead)
+
+let handle t req payload =
+  let key = Api.route_key req in
+  let r = forward t key payload in
+  (match r with
+   | Wire.Relay _ when t.cfg.verbose ->
+     Printf.eprintf "[router] %s -> shard %d\n%!"
+       (Json.to_string (Api.request_to_json req))
+       (Ring.assign t.ring key)
+   | _ -> ());
+  r
 
 (* ---- fleet control ---- *)
 
 let drain_fleet t =
   Array.iter
-    (fun shard ->
-      match connect_fd shard.s_addr with
-      | exception Unix.Unix_error _ -> ()
-      | fd ->
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with _ -> ())
-          (fun () ->
-            try
-              Frame.write fd (Json.to_string (Json.Obj [ ("op", Json.Str "shutdown") ]));
-              ignore (Frame.read ~max_len:t.cfg.max_frame fd)
-            with _ -> ()))
+    (fun shard -> ignore (Wire.exchange shard.s_addr (op_doc "shutdown")))
     t.shards
 
 (* ---- stats ---- *)
 
-let shard_cache_counts t shard =
-  match connect_fd shard.s_addr with
-  | exception Unix.Unix_error _ -> None
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with _ -> ())
-      (fun () ->
-        match
-          Frame.write fd (Json.to_string (Json.Obj [ ("op", Json.Str "stats") ]));
-          Frame.read ~max_len:t.cfg.max_frame fd
-        with
-        | exception _ -> None
-        | None -> None
-        | Some reply -> (
-          match Json.of_string_strict reply with
-          | exception Json.Parse_error _ -> None
-          | doc -> (
-            match Option.bind (Json.member "result" doc) (Json.member "result_cache") with
-            | Some rc -> (
-              match (Json.member "hits" rc, Json.member "misses" rc) with
-              | Some (Json.Int h), Some (Json.Int m) -> Some (h, m)
-              | _ -> None)
-            | None -> None)))
+let shard_cache_counts shard =
+  let ( let* ) = Option.bind in
+  let* reply = Result.to_option (Wire.exchange shard.s_addr (op_doc "stats")) in
+  let* doc =
+    try Some (Json.of_string_strict reply) with Json.Parse_error _ -> None
+  in
+  let* rc = Option.bind (Json.member "result" doc) (Json.member "result_cache") in
+  match (Json.member "hits" rc, Json.member "misses" rc) with
+  | Some (Json.Int h), Some (Json.Int m) -> Some (h, m)
+  | _ -> None
 
 let stats_json t =
   (* Sum the fleet's result-cache counters so a load generator pointed
@@ -269,21 +205,23 @@ let stats_json t =
   Array.iter
     (fun shard ->
       if locked t (fun () -> shard.s_alive) then
-        match shard_cache_counts t shard with
+        match shard_cache_counts shard with
         | Some (h, m) ->
           hits := !hits + h;
           misses := !misses + m
         | None -> ())
     t.shards;
+  let w = Wire.stats_fields t.wire in
+  let wire key = (key, List.assoc key w) in
   locked t (fun () ->
       Json.Obj
         [
           ("role", Json.Str "router");
-          ("requests", Json.Int t.requests);
+          wire "requests";
           ("forwarded", Json.Int t.forwarded);
           ("retried", Json.Int t.retried);
           ("failovers", Json.Int t.failovers);
-          ("errors", Json.Int t.errors);
+          wire "errors";
           ( "shards",
             Json.List
               (Array.to_list
@@ -291,186 +229,35 @@ let stats_json t =
                     (fun s ->
                       Json.Obj
                         [
-                          ("addr", Json.Str (Server.addr_to_string s.s_addr));
+                          ("addr", Json.Str (Wire.addr_to_string s.s_addr));
                           ("alive", Json.Bool s.s_alive);
                           ("forwarded", Json.Int s.s_forwarded);
                         ])
                     t.shards)) );
           ( "result_cache",
             Json.Obj [ ("hits", Json.Int !hits); ("misses", Json.Int !misses) ] );
-          ( "connections",
-            Json.Obj
-              [
-                ("accepted", Json.Int t.accepted);
-                ("rejected", Json.Int t.rejected);
-                ("active", Json.Int t.active);
-              ] );
+          wire "connections";
         ])
-
-(* ---- the wire loop ---- *)
-
-let write_reply fd ~id doc_fields =
-  let id_field = match id with Some i -> [ ("id", Json.Int i) ] | None -> [] in
-  Frame.write fd (Json.to_string (Json.Obj (id_field @ doc_fields)))
-
-let write_ok fd ~id result =
-  write_reply fd ~id
-    [ ("ok", Json.Bool true); ("cached", Json.Bool false); ("result", result) ]
-
-let write_err fd ~id code message =
-  write_reply fd ~id
-    [
-      ("ok", Json.Bool false);
-      ( "error",
-        Json.Obj [ ("code", Json.Str code); ("message", Json.Str message) ] );
-    ]
-
-let handle_payload t fd payload =
-  locked t (fun () -> t.requests <- t.requests + 1);
-  let fail ~id code message =
-    locked t (fun () -> t.errors <- t.errors + 1);
-    write_err fd ~id code message
-  in
-  match Json.of_string_strict ~max_bytes:t.cfg.max_frame payload with
-  | exception Json.Parse_error { pos; message } ->
-    fail ~id:None "bad-json" (Printf.sprintf "at byte %d: %s" pos message)
-  | Json.Obj fields as json -> (
-    let id =
-      match List.assoc_opt "id" fields with
-      | Some (Json.Int i) -> Some i
-      | _ -> None
-    in
-    match List.assoc_opt "op" fields with
-    | Some (Json.Str "ping") -> write_ok fd ~id (Json.Str "pong")
-    | Some (Json.Str "stats") -> write_ok fd ~id (stats_json t)
-    | Some (Json.Str "shutdown") ->
-      (* Graceful fleet drain: every shard finishes its in-flight work,
-         flushes its store and exits; then the router follows. *)
-      drain_fleet t;
-      write_ok fd ~id (Json.Bool true);
-      request_stop t
-    | _ -> (
-      match Api.request_of_json json with
-      | Error msg -> fail ~id "bad-request" msg
-      | Ok req -> (
-        let key = Api.route_key req in
-        match forward t key payload with
-        | Ok reply ->
-          if t.cfg.verbose then
-            Printf.eprintf "[router] %s -> shard %d\n%!"
-              (Json.to_string (Api.request_to_json req))
-              (Ring.assign t.ring key);
-          Frame.write fd reply
-        | Error (code, message) -> fail ~id code message)))
-  | _ -> fail ~id:None "bad-request" "request must be a JSON object"
-
-let conn_loop t fd =
-  let rec go () =
-    match Frame.read ~max_len:t.cfg.max_frame fd with
-    | None -> ()
-    | Some payload ->
-      handle_payload t fd payload;
-      go ()
-    | exception Frame.Frame_error msg ->
-      (try write_err fd ~id:None "bad-frame" msg with _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
-  try go () with _ -> ()
-
-let handler t cid fd =
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with _ -> ());
-      locked t (fun () ->
-          t.active <- t.active - 1;
-          t.conns <- List.filter (fun (c, _) -> c <> cid) t.conns))
-    (fun () -> conn_loop t fd)
-
-let busy_doc =
-  Json.to_string
-    (Json.Obj
-       [
-         ("ok", Json.Bool false);
-         ( "error",
-           Json.Obj
-             [
-               ("code", Json.Str "busy");
-               ("message", Json.Str "connection limit reached");
-             ] );
-       ])
-
-let accept_loop t =
-  while not (Atomic.get t.stop_flag) do
-    let ready =
-      try
-        match Unix.select [ t.listen_fd ] [] [] 0.2 with
-        | [], _, _ -> false
-        | _ -> true
-      with Unix.Unix_error _ -> false
-    in
-    if ready && not (Atomic.get t.stop_flag) then begin
-      match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        let admitted =
-          locked t (fun () ->
-              if t.active >= t.cfg.max_connections then begin
-                t.rejected <- t.rejected + 1;
-                false
-              end
-              else begin
-                t.accepted <- t.accepted + 1;
-                t.active <- t.active + 1;
-                true
-              end)
-        in
-        if not admitted then begin
-          (try Frame.write fd busy_doc with _ -> ());
-          try Unix.close fd with _ -> ()
-        end
-        else begin
-          let th =
-            locked t (fun () ->
-                let cid = t.next_conn in
-                t.next_conn <- cid + 1;
-                t.conns <- (cid, fd) :: t.conns;
-                Thread.create (fun () -> handler t cid fd) ())
-          in
-          locked t (fun () -> t.handler_threads <- th :: t.handler_threads)
-        end
-    end
-  done
 
 (* Revive dead shards: a cheap ping on a fresh connection. Live shards
    are left alone — forwarding itself discovers failures faster than a
    poll would. *)
-let health_loop t =
-  let ping_doc = Json.to_string (Json.Obj [ ("op", Json.Str "ping") ]) in
-  while not (Atomic.get t.stop_flag) do
+let health_loop (t, stopping) =
+  while not (Atomic.get stopping) do
     Array.iter
       (fun shard ->
-        if not (locked t (fun () -> shard.s_alive)) then begin
-          match connect_fd shard.s_addr with
-          | exception Unix.Unix_error _ -> ()
-          | fd ->
-            Fun.protect
-              ~finally:(fun () -> try Unix.close fd with _ -> ())
-              (fun () ->
-                match
-                  Frame.write fd ping_doc;
-                  Frame.read ~max_len:t.cfg.max_frame fd
-                with
-                | Some _ ->
-                  locked t (fun () -> shard.s_alive <- true);
-                  if t.cfg.verbose then
-                    Printf.eprintf "[router] shard %s back up\n%!"
-                      (Server.addr_to_string shard.s_addr)
-                | None | (exception _) -> ())
-        end)
+        if not (locked t (fun () -> shard.s_alive)) then
+          match Wire.exchange shard.s_addr (op_doc "ping") with
+          | Ok _ ->
+            locked t (fun () -> shard.s_alive <- true);
+            if t.cfg.verbose then
+              Printf.eprintf "[router] shard %s back up\n%!"
+                (Wire.addr_to_string shard.s_addr)
+          | Error _ -> ())
       t.shards;
-    (* Sleep in short slices so a stop request is honored promptly. *)
+    (* Sleep in short slices so a stop is honored promptly. *)
     let deadline = Pool.now_s () +. t.cfg.health_period_s in
-    while (not (Atomic.get t.stop_flag)) && Pool.now_s () < deadline do
+    while (not (Atomic.get stopping)) && Pool.now_s () < deadline do
       Thread.delay 0.02
     done
   done
@@ -479,15 +266,13 @@ let health_loop t =
 
 let start ?(config = default_config) ~shards address =
   if shards = [] then invalid_arg "Router.start: no shards";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
-  let listen_fd =
-    Server.bind_listen ~backlog:(max 16 config.max_connections) address
+  let wire =
+    Wire.listen ~max_connections:Server.default_config.max_connections address
   in
   let t =
     {
       cfg = config;
-      address;
-      listen_fd;
+      wire;
       ring = Ring.create ~replicas:config.replicas (List.length shards);
       shards =
         Array.of_list
@@ -495,48 +280,24 @@ let start ?(config = default_config) ~shards address =
              (fun a -> { s_addr = a; s_alive = true; s_forwarded = 0 })
              shards);
       m = Mutex.create ();
-      requests = 0;
       forwarded = 0;
       retried = 0;
       failovers = 0;
-      errors = 0;
-      accepted = 0;
-      rejected = 0;
-      active = 0;
-      conns = [];
-      next_conn = 0;
-      stop_flag = Atomic.make false;
-      stop_done = Atomic.make false;
-      accept_thread = None;
-      health_thread = None;
-      handler_threads = [];
     }
   in
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  t.health_thread <- Some (Thread.create health_loop t);
+  let stopping = Atomic.make false in
+  let health = Thread.create health_loop (t, stopping) in
+  Wire.serve wire
+    ~stats:(fun () -> stats_json t)
+    (* Graceful fleet drain: every shard finishes its in-flight work,
+       flushes its store and exits; then the router follows. *)
+    ~on_shutdown:(fun () -> drain_fleet t)
+    ~on_stop:(fun () ->
+      Atomic.set stopping true;
+      Thread.join health)
+    (handle t);
   t
 
-let stop t =
-  if not (Atomic.exchange t.stop_done true) then begin
-    Atomic.set t.stop_flag true;
-    (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (match t.health_thread with Some th -> Thread.join th | None -> ());
-    (try Unix.close t.listen_fd with _ -> ());
-    (match t.address with
-     | Server.Unix_sock path -> ( try Sys.remove path with _ -> ())
-     | Server.Tcp _ -> ());
-    (* Wake connections idle in [Frame.read]; in-flight forwards finish
-       and reply before their handlers exit. *)
-    let fds = locked t (fun () -> t.conns) in
-    List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ())
-      fds;
-    let threads = locked t (fun () -> t.handler_threads) in
-    List.iter Thread.join threads
-  end
+let stop t = Wire.stop t.wire
 
-let wait t =
-  while not (Atomic.get t.stop_flag) do
-    Thread.delay 0.05
-  done;
-  stop t
+let wait t = Wire.wait t.wire

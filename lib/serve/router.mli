@@ -1,8 +1,9 @@
 (** The [sempe-sim router] front end: one address for a fleet of
     [serve] shards.
 
-    The router speaks the same framed JSON protocol as a shard and is a
-    drop-in replacement for one from a client's point of view: workload
+    The router speaks the same framed JSON protocol as a shard, through
+    the same {!Wire} listener (which defines the envelope and the
+    control ops), and is a drop-in replacement for one from a client's point of view: workload
     requests are consistent-hashed by {!Api.route_key} onto a shard and
     the original frame bytes relayed verbatim both ways, so the reply is
     byte-for-byte what that shard produced (and therefore byte-identical
@@ -16,7 +17,8 @@
     backoff on refusal, hangup or a framing error; a shard that
     exhausts its retries is marked dead and the request fails over to
     the next shard clockwise on the ring (losing only cache warmth,
-    never correctness). A health thread pings dead shards back into
+    never correctness); when no shard can serve it, the client gets an
+    [unavailable] error. A health thread pings dead shards back into
     rotation.
 
     Control ops are fleet-level: [ping] answers locally, [stats]
@@ -55,8 +57,6 @@ type config = {
   retries : int;  (** connection attempts per shard before failover *)
   backoff_s : float;  (** delay before the first retry; doubles *)
   health_period_s : float;  (** dead-shard ping interval *)
-  max_connections : int;  (** concurrent client connections *)
-  max_frame : int;  (** frame byte cap, both directions *)
   verbose : bool;  (** routing decisions and shard state on stderr *)
 }
 
@@ -64,13 +64,15 @@ val default_config : config
 
 type t
 
-val start : ?config:config -> shards:Server.addr list -> Server.addr -> t
+val start : ?config:config -> shards:Wire.addr list -> Wire.addr -> t
 (** Bind [address] and route to [shards] (all initially presumed
-    alive). Returns once the listener is live.
+    alive). Returns once the listener is live; client connections are
+    limited as the daemon's are by default
+    ({!Server.default_config}[.max_connections]).
     @raise Invalid_argument on an empty shard list.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
-val addr : t -> Server.addr
+val addr : t -> Wire.addr
 
 val request_stop : t -> unit
 (** Ask the router to stop; safe from signal handlers. The shutdown

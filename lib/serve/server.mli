@@ -1,14 +1,11 @@
 (** The [sempe-sim serve] daemon: a long-running simulation service.
 
-    One accept thread plus one handler thread per connection; the
-    simulations themselves run on a {!Sempe_util.Pool} of worker domains,
-    so a connection is cheap and the expensive work is bounded by the
-    pool size. Each connection speaks the length-prefixed JSON protocol
-    of {!Frame}: a request is an object [{"id": .., "op": .., ...}] (the
-    operation fields of {!Api.request_of_json}, plus the control ops
-    [ping], [stats] and [shutdown]); the reply echoes ["id"] and carries
-    either [{"ok": true, "cached": .., "result": ..}] or
-    [{"ok": false, "error": {"code": .., "message": ..}}].
+    Connections are handled by the {!Wire} listener, which defines the
+    protocol envelope and the control ops; the simulations themselves
+    run on a {!Sempe_util.Pool} of worker domains, so a connection is
+    cheap and the expensive work is bounded by the pool size. The daemon
+    answers each workload request with {!Api.perform}'s document, or a
+    [timeout] or [failed] error.
 
     Two content-addressed caches back the service: response bytes keyed
     by {!Api.cache_key}, and sampling checkpoint plans keyed by
@@ -31,20 +28,7 @@
     down. Bind the unix socket in a directory with appropriate
     permissions; do not expose the TCP listener beyond the host. *)
 
-type addr = Unix_sock of string | Tcp of string * int
-
-val addr_of_string : string -> (addr, string) result
-(** [unix:PATH], [tcp:HOST:PORT], or a bare path (taken as a unix
-    socket). *)
-
-val addr_to_string : addr -> string
-
-val bind_listen : backlog:int -> addr -> Unix.file_descr
-(** Bind and listen on an address: a crash-leftover unix socket file is
-    replaced, a TCP listener gets [SO_REUSEADDR]. Shared with the
-    {!Router}, which fronts the same protocol on the same address
-    forms.
-    @raise Unix.Unix_error when the address cannot be bound. *)
+type addr = Wire.addr = Unix_sock of string | Tcp of string * int
 
 type config = {
   workers : int;  (** simulation pool size *)
@@ -52,7 +36,6 @@ type config = {
   plan_entries : int;  (** checkpoint-plan cache capacity *)
   timeout_s : float;  (** per-request reply deadline; [0.] = none *)
   max_connections : int;  (** concurrent connections; excess get [busy] *)
-  max_frame : int;  (** request frame byte cap *)
   store_dir : string option;
       (** persistent cache store: reloaded on start, flushed on graceful
           shutdown; [None] (the default) serves memory-only *)
@@ -64,8 +47,9 @@ val default_config : config
 type t
 
 val start : ?config:config -> addr -> t
-(** Bind, listen and serve. Returns once the listener is live (a client
-    connecting after [start] returns will not get a connection refusal).
+(** Bind, listen and serve ({!Wire.listen}). Returns once the listener
+    is live (a client connecting after [start] returns will not get a
+    connection refusal).
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val addr : t -> addr
@@ -75,9 +59,8 @@ val request_stop : t -> unit
     threads. The shutdown itself happens in {!wait} / {!stop}. *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop accepting, let in-flight requests finish and
-    reply, wake idle connections, join every thread, drain the pool and —
-    when configured with a [store_dir] — flush both caches to disk.
+(** Graceful shutdown ({!Wire.stop}), then drain the pool and — when
+    configured with a [store_dir] — flush both caches to disk.
     Idempotent. *)
 
 val wait : t -> unit

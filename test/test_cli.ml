@@ -10,24 +10,33 @@ let build_dir = Filename.dirname (Filename.dirname Sys.executable_name)
 let sim_exe = Filename.concat build_dir "bin/sempe_sim.exe"
 let bench_exe = Filename.concat build_dir "bench/main.exe"
 
-(* [run exe args] execs and returns (exit code, stdout). *)
-let run exe args =
+(* [run_full exe args] execs and returns (exit code, stdout, stderr). *)
+let run_full exe args =
   let out = Filename.temp_file "sempe-cli" ".out" in
+  let err = Filename.temp_file "sempe-cli" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove out)
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
     (fun () ->
       let cmd =
         String.concat " "
           (List.map Filename.quote (exe :: args))
-        ^ " > " ^ Filename.quote out ^ " 2> /dev/null"
+        ^ " > " ^ Filename.quote out ^ " 2> " ^ Filename.quote err
       in
       let code = Sys.command cmd in
-      let text = In_channel.with_open_text out In_channel.input_all in
-      (code, text))
+      let read file = In_channel.with_open_text file In_channel.input_all in
+      (code, read out, read err))
+
+(* [run exe args] execs and returns (exit code, stdout). *)
+let run exe args =
+  let code, stdout, _ = run_full exe args in
+  (code, stdout)
 
 type expect =
   | Non_empty  (** human-readable output: anything on stdout *)
   | Json_with of string list  (** a JSON document carrying these members *)
+  | Stderr_prefix of string  (** a diagnostic on stderr starting so *)
   | Ignore_output
 
 let sim_table =
@@ -102,6 +111,11 @@ let sim_table =
       [ "client"; "ping"; "-c"; "tcp:missing-port" ],
       124,
       Ignore_output );
+    (* a host that does not resolve is an ordinary connection failure *)
+    ( "client reports an unresolvable host",
+      [ "client"; "ping"; "-c"; "tcp:no-such-host.invalid:1" ],
+      1,
+      Stderr_prefix "cannot connect to tcp:no-such-host.invalid:1: " );
     ( "loadgen rejects an unknown mix element",
       [ "loadgen"; "--mix"; "bogus" ],
       124,
@@ -112,9 +126,14 @@ let sim_table =
       Ignore_output );
   ]
 
-let check_expect name expect stdout =
+let check_expect name expect ~stdout ~stderr =
   match expect with
   | Ignore_output -> ()
+  | Stderr_prefix prefix ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stderr %S starts with %S" name stderr prefix)
+      true
+      (String.starts_with ~prefix stderr)
   | Non_empty ->
     Alcotest.(check bool) (name ^ ": stdout non-empty") true (stdout <> "")
   | Json_with members -> (
@@ -131,9 +150,9 @@ let check_expect name expect stdout =
 
 let sim_case (name, args, expected_code, expect) =
   Alcotest.test_case name `Quick (fun () ->
-      let code, stdout = run sim_exe args in
+      let code, stdout, stderr = run_full sim_exe args in
       Alcotest.(check int) (name ^ ": exit code") expected_code code;
-      check_expect name expect stdout)
+      check_expect name expect ~stdout ~stderr)
 
 (* ---- the bench perf gate, against handcrafted record files ---- *)
 

@@ -2,13 +2,16 @@
    vocabulary and its strict decoder, content-addressed keys, checkpoint
    plan reuse, and an in-process daemon exercised end to end over a unix
    socket (byte-equality with the batch path, caching, coalescing,
-   timeouts, graceful shutdown, and the load-generator acceptance run). *)
+   timeouts, graceful shutdown, and the load-generator acceptance run);
+   the shared wire layer's error replies against both front ends. *)
 
 module Json = Sempe_obs.Json
 module Frame = Sempe_serve.Frame
 module Cache = Sempe_serve.Cache
 module Api = Sempe_serve.Api
 module Server = Sempe_serve.Server
+module Router = Sempe_serve.Router
+module Wire = Sempe_serve.Wire
 module Client = Sempe_serve.Client
 module Loadgen = Sempe_serve.Loadgen
 module Sampling = Sempe_sampling.Sampling
@@ -475,6 +478,73 @@ let test_server_rejects_garbage_frames () =
               (Json.member "ok" doc = Some (Json.Bool false))
           | None -> Alcotest.fail "daemon hung up on bad request"))
 
+(* One frame of raw bytes out on a fresh connection, the reply's error
+   code back. *)
+let raw_error_code addr bytes =
+  let fd = Wire.connect addr in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+      match Frame.read fd with
+      | None -> Alcotest.fail "hung up without a reply"
+      | Some reply -> (
+        let doc = Json.of_string reply in
+        Alcotest.(check bool) "ok:false" true
+          (Json.member "ok" doc = Some (Json.Bool false));
+        match Option.bind (Json.member "error" doc) (Json.member "code") with
+        | Some (Json.Str code) -> code
+        | _ -> Alcotest.fail ("reply without an error code: " ^ reply)))
+
+let framed payload =
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+  Bytes.to_string header ^ payload
+
+(* The same malformed inputs against any front end: each gets its error
+   code and is counted in the [stats] op's [errors]. *)
+let check_wire_errors front addr =
+  let oversized =
+    let header = Bytes.create 4 in
+    Bytes.set_int32_be header 0 (Int32.of_int (Frame.max_len_default + 1));
+    Bytes.to_string header
+  in
+  List.iter
+    (fun (what, bytes, code) ->
+      Alcotest.(check string) (front ^ ": " ^ what) code
+        (raw_error_code addr bytes))
+    [
+      ("oversized frame header", oversized, "bad-frame");
+      ("truncated JSON", framed "{\"op\": ", "bad-json");
+      ("not an object", framed "[1]", "bad-request");
+      ("unknown op", framed "{\"op\":\"explode\"}", "bad-request");
+    ];
+  with_conn addr (fun conn ->
+      Alcotest.(check int) (front ^ ": errors counted") 4
+        (stat [ "errors" ] (ok (Client.stats conn))))
+
+let test_wire_errors_both_front_ends () =
+  with_server "wire-daemon" (fun _server addr -> check_wire_errors "daemon" addr);
+  with_server "wire-shard" (fun _server shard ->
+      let path = sock_path "wire-router" in
+      let router = Router.start ~shards:[ shard ] (Server.Unix_sock path) in
+      Fun.protect
+        ~finally:(fun () -> Router.stop router)
+        (fun () -> check_wire_errors "router" (Server.Unix_sock path)))
+
+let test_wire_busy () =
+  let config = { Server.default_config with max_connections = 1 } in
+  with_server ~config "busy" (fun _server addr ->
+      with_conn addr (fun conn ->
+          ok (Client.ping conn);
+          Alcotest.(check string) "second connection turned away" "busy"
+            (raw_error_code addr "");
+          let stats = ok (Client.stats conn) in
+          Alcotest.(check int) "one rejected" 1
+            (stat [ "connections"; "rejected" ] stats);
+          Alcotest.(check int) "busy is not a request error" 0
+            (stat [ "errors" ] stats)))
+
 let test_server_coalesces_duplicates () =
   (* Fire the same request from many threads at once: every reply carries
      identical bytes and the daemon executes the simulation fewer times
@@ -609,6 +679,10 @@ let tests =
       test_server_timeout_then_alive;
     Alcotest.test_case "daemon: malformed frames get errors" `Quick
       test_server_rejects_garbage_frames;
+    Alcotest.test_case "wire: error replies from daemon and router" `Quick
+      test_wire_errors_both_front_ends;
+    Alcotest.test_case "wire: connection limit answers busy" `Quick
+      test_wire_busy;
     Alcotest.test_case "daemon: duplicate requests coalesce" `Quick
       test_server_coalesces_duplicates;
     Alcotest.test_case "daemon: client shutdown op" `Quick
