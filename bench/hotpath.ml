@@ -12,6 +12,7 @@ module Run = Sempe_core.Run
 module Timing = Sempe_pipeline.Timing
 module Warm = Sempe_pipeline.Warm
 module Harness = Sempe_workloads.Harness
+module Workload = Sempe_workloads.Workload
 module Pool = Sempe_util.Pool
 
 let iters =
@@ -30,16 +31,12 @@ let assert_alloc = Array.exists (( = ) "--assert-alloc") Sys.argv
 let alloc_free_threshold = 0.05
 
 let () =
-  let spec =
-    { Sempe_workloads.Microbench.kernel = Sempe_workloads.Kernels.fibonacci;
-      width = 4; iters }
+  let w =
+    Workload.Microbench { kernel = "fibonacci"; width = 4; iters; leaf = 1 }
   in
-  let built =
-    Harness.build Sempe_core.Scheme.Sempe
-      (Sempe_workloads.Microbench.program ~ct:false spec)
-  in
-  let globals = Sempe_workloads.Microbench.secrets_for_leaf ~width:4 ~leaf:1 in
-  let init_mem = Harness.init_mem_of built ~globals ~arrays:[] in
+  let built = Workload.build Sempe_core.Scheme.Sempe w in
+  let globals, arrays = Workload.inputs w in
+  let init_mem = Harness.init_mem_of built ~globals ~arrays in
   let prog = built.Harness.prog in
   let mem_words = 1 lsl 20 in
   let failures = ref [] in

@@ -22,6 +22,7 @@
 module Config = Sempe_pipeline.Config
 module Tablefmt = Sempe_util.Tablefmt
 module Batch = Sempe_experiments.Batch
+module Workload = Sempe_workloads.Workload
 
 let section title body =
   Printf.printf "==== %s ====\n%s\n\n%!" title body
@@ -125,15 +126,13 @@ let micro () =
         p.Sempe_bpred.Predictor.update ~pc:!pc ~taken)
   in
   let simulate =
-    let spec =
-      { Sempe_workloads.Microbench.kernel = Sempe_workloads.Kernels.fibonacci;
-        width = 1; iters = 1 }
+    let w =
+      Workload.Microbench
+        { kernel = "fibonacci"; width = 1; iters = 1; leaf = 1 }
     in
-    let src = Sempe_workloads.Microbench.program ~ct:false spec in
-    let built = Sempe_workloads.Harness.build Sempe_core.Scheme.Sempe src in
-    let secrets = Sempe_workloads.Microbench.secrets_for_leaf ~width:1 ~leaf:1 in
+    let built = Workload.build Sempe_core.Scheme.Sempe w in
     Test.make ~name:"simulate fib W=1 (SeMPE)" (Staged.stage @@ fun () ->
-        ignore (Sempe_workloads.Harness.run ~globals:secrets built))
+        ignore (Workload.run built w))
   in
   let grouped =
     Test.make_grouped ~name:"core" ~fmt:"%s/%s"
@@ -240,36 +239,24 @@ let measure_perf ~quick ~runs =
     match !result with Some r -> (r, median) | None -> assert false
   in
   let workloads =
-    let fib =
-      let spec =
-        { Sempe_workloads.Microbench.kernel = Sempe_workloads.Kernels.fibonacci;
-          width = 4; iters = (if quick then 300 else 600) }
-      in
+    let blocks = if quick then 32 else 64 in
+    [
       ( "microbench-fibonacci",
-        Harness.build Sempe_core.Scheme.Sempe
-          (Sempe_workloads.Microbench.program ~ct:false spec),
-        Sempe_workloads.Microbench.secrets_for_leaf ~width:4 ~leaf:1,
-        [] )
-    in
-    let djpeg =
-      let fmt = Sempe_workloads.Djpeg.Ppm in
-      let blocks = if quick then 32 else 64 in
-      let globals, arrays = Sempe_workloads.Djpeg.inputs fmt ~seed:42 ~blocks in
+        Workload.Microbench
+          { kernel = "fibonacci"; width = 4;
+            iters = (if quick then 300 else 600); leaf = 1 } );
       ( Printf.sprintf "djpeg-ppm-%db" blocks,
-        Harness.build Sempe_core.Scheme.Sempe
-          (Sempe_workloads.Djpeg.program fmt),
-        globals,
-        arrays )
-    in
-    [ fib; djpeg ]
+        Workload.Djpeg { format = "PPM"; blocks; seed = 42 } );
+    ]
   in
   let records = ref [] in
   let smoke_failures = ref [] in
   List.iter
-    (fun (name, built, globals, arrays) ->
+    (fun (name, w) ->
+      let built = Workload.build Sempe_core.Scheme.Sempe w in
+      let globals, arrays = Workload.inputs w in
       let outcome, full_s =
-        timed ~prepare:Gc.full_major (fun () ->
-            Harness.run ~globals ~arrays built)
+        timed ~prepare:Gc.full_major (fun () -> Workload.run built w)
       in
       let report = outcome.Sempe_core.Run.timing in
       let full_cycles = report.Sempe_pipeline.Timing.cycles in
@@ -305,10 +292,10 @@ let measure_perf ~quick ~runs =
          bench run and still has to clear the gate's min-work floor. *)
       let _, witness_s =
         timed ~prepare:Gc.full_major (fun () ->
-            let w = Sempe_security.Witness.create () in
-            Harness.run ~globals ~arrays
-              ~sink:(Sempe_obs.Sink.of_probe (Sempe_security.Witness.probe w))
-              built)
+            let wit = Sempe_security.Witness.create () in
+            Workload.run
+              ~sink:(Sempe_obs.Sink.of_probe (Sempe_security.Witness.probe wit))
+              built w)
       in
       records :=
         {

@@ -9,6 +9,7 @@ module Run = Sempe_core.Run
 module Timing = Sempe_pipeline.Timing
 module Config = Sempe_pipeline.Config
 module Harness = Sempe_workloads.Harness
+module Workload = Sempe_workloads.Workload
 module Kernels = Sempe_workloads.Kernels
 module Rsa = Sempe_workloads.Rsa
 module Tablefmt = Sempe_util.Tablefmt
@@ -165,10 +166,10 @@ let key_arg =
 (* [rsa], [djpeg] (always PPM) or a microbenchmark kernel name. *)
 let select which ~width ~iters ~leaf ~blocks ~seed ~key =
   match String.lowercase_ascii which with
-  | "rsa" -> Api.check_workload (Api.Rsa { key })
-  | "djpeg" -> Api.check_workload (Api.Djpeg { format = "PPM"; blocks; seed })
+  | "rsa" -> Workload.check (Workload.Rsa { key })
+  | "djpeg" -> Workload.check (Workload.Djpeg { format = "PPM"; blocks; seed })
   | kernel when Kernels.by_name kernel <> None ->
-    Api.check_workload (Api.Microbench { kernel; width; iters; leaf })
+    Workload.check (Workload.Microbench { kernel; width; iters; leaf })
   | _ ->
     Error
       (Printf.sprintf "unknown workload %S (rsa, djpeg, or a kernel: %s)" which
@@ -193,7 +194,7 @@ let workload_pos =
 (* ---- microbench / djpeg / rsa: the paper's three workloads ---- *)
 
 (* [workload] is the subcommand's own flags; out-of-range values exit 124
-   with the message of [Api.check_workload], the same check the daemon's
+   with the message of [Workload.check], the same check the daemon's
    request decoder applies. *)
 let workload_cmd name ~doc workload =
   let run scheme workload strict_oob sample interval coverage warmup json =
@@ -208,7 +209,7 @@ let workload_cmd name ~doc workload =
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const run $ scheme_arg
-      $ Term.term_result' (Term.map Api.check_workload workload)
+      $ Term.term_result' (Term.map Workload.check workload)
       $ strict_oob_arg $ sample_flag $ interval_arg $ coverage_arg $ warmup_arg
       $ json_arg)
 
@@ -221,7 +222,7 @@ let microbench_cmd =
   workload_cmd "microbench" ~doc:"Run the Figure 7 nested-chain microbenchmark."
     Term.(
       const (fun kernel width iters leaf ->
-          Api.Microbench { kernel; width; iters; leaf })
+          Workload.Microbench { kernel; width; iters; leaf })
       $ kernel $ width_arg $ iters_arg $ leaf_arg)
 
 let djpeg_cmd =
@@ -230,20 +231,20 @@ let djpeg_cmd =
   in
   workload_cmd "djpeg" ~doc:"Run the synthetic djpeg decoder."
     Term.(
-      const (fun format blocks seed -> Api.Djpeg { format; blocks; seed })
+      const (fun format blocks seed -> Workload.Djpeg { format; blocks; seed })
       $ format $ blocks_arg $ seed_arg)
 
 let rsa_cmd =
   workload_cmd "rsa" ~doc:"Run RSA modular exponentiation (Figure 1)."
-    Term.(const (fun key -> Api.Rsa { key }) $ key_arg)
+    Term.(const (fun key -> Workload.Rsa { key }) $ key_arg)
 
 (* ---- sample ---- *)
 
 let sample_cmd =
   let run scheme workload interval coverage warmup jobs strict compare json =
-    let built = Api.build scheme workload in
-    let globals, arrays = Api.inputs workload in
-    let desc = Api.describe workload in
+    let built = Workload.build scheme workload in
+    let globals, arrays = Workload.inputs workload in
+    let desc = Workload.describe workload in
     let forgiving_oob = not strict in
     let config =
       { Sampling.default_config with Sampling.interval; coverage; warmup }
@@ -259,7 +260,7 @@ let sample_cmd =
       if not compare then None
       else begin
         let t1 = Pool.now_s () in
-        let outcome = Harness.run ~forgiving_oob ~globals ~arrays built in
+        let outcome = Workload.run ~forgiving_oob built workload in
         Some (Run.cycles outcome, Pool.now_s () -. t1)
       end
     in
@@ -354,8 +355,7 @@ let profile_cmd =
 
 let trace_cmd =
   let run scheme workload out jsonl =
-    let built = Api.build scheme workload in
-    let globals, arrays = Api.inputs workload in
+    let built = Workload.build scheme workload in
     let oc = open_out out in
     let sink = if jsonl then Sink.jsonl oc else Sink.perfetto oc in
     let outcome =
@@ -363,10 +363,10 @@ let trace_cmd =
         ~finally:(fun () ->
           sink.Sink.close ();
           close_out oc)
-        (fun () -> Harness.run ~globals ~arrays ~sink built)
+        (fun () -> Workload.run ~sink built workload)
     in
     let r = outcome.Run.timing in
-    Printf.printf "trace: %s, scheme=%s\n" (Api.describe workload)
+    Printf.printf "trace: %s, scheme=%s\n" (Workload.describe workload)
       (Scheme.name scheme);
     Printf.printf "wrote %s (%d instructions, %d cycles)\n" out
       r.Timing.instructions r.Timing.cycles;
@@ -500,22 +500,22 @@ let leakage_cmd =
 (* ---- report ---- *)
 
 let report_cmd =
-  let run name csv json jobs progress =
+  let run experiment csv json jobs progress =
     set_jobs jobs;
     with_progress progress (fun () ->
-        match name with
-        | "table1" ->
+        match experiment with
+        | `Table1 ->
           let rows = Sempe_experiments.Table1.measure () in
           if json then print_json (Sempe_experiments.Table1.to_json rows)
           else print_endline (Sempe_experiments.Table1.render rows)
-        | "fig8" | "fig9" ->
+        | (`Fig8 | `Fig9) as fig ->
           let cells = Sempe_experiments.Djpeg_exp.collect () in
           if json then print_json (Sempe_experiments.Djpeg_exp.to_json cells)
           else if csv then print_string (Sempe_experiments.Djpeg_exp.csv cells)
-          else if name = "fig8" then
+          else if fig = `Fig8 then
             print_endline (Sempe_experiments.Djpeg_exp.render_fig8 cells)
           else print_endline (Sempe_experiments.Djpeg_exp.render_fig9 cells)
-        | "fig10" ->
+        | `Fig10 ->
           let series = Sempe_experiments.Fig10.sweep () in
           if json then print_json (Sempe_experiments.Fig10.to_json series)
           else if csv then print_string (Sempe_experiments.Fig10.csv series)
@@ -523,25 +523,26 @@ let report_cmd =
             print_endline (Sempe_experiments.Fig10.render_a series);
             print_endline (Sempe_experiments.Fig10.render_b series)
           end
-        | "ablation" ->
+        | `Ablation ->
           let m = Sempe_experiments.Ablation.measure () in
           if json then print_json (Sempe_experiments.Ablation.to_json m)
           else print_endline (Sempe_experiments.Ablation.render m)
-        | "sampling" ->
+        | `Sampling ->
           let cells = Sempe_experiments.Sampling_exp.collect () in
           if json then print_json (Sempe_experiments.Sampling_exp.to_json cells)
           else if csv then
             print_string (Sempe_experiments.Sampling_exp.csv cells)
-          else print_endline (Sempe_experiments.Sampling_exp.render cells)
-        | other ->
-          Printf.eprintf
-            "unknown experiment %S (table1, fig8, fig9, fig10, ablation, \
-             sampling)\n"
-            other;
-          exit 1)
+          else print_endline (Sempe_experiments.Sampling_exp.render cells))
   in
   let exp_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT")
+    let experiments =
+      [ ("table1", `Table1); ("fig8", `Fig8); ("fig9", `Fig9);
+        ("fig10", `Fig10); ("ablation", `Ablation); ("sampling", `Sampling) ]
+    in
+    Arg.(
+      required
+      & pos 0 (some (enum experiments)) None
+      & info [] ~docv:"EXPERIMENT")
   in
   let csv_arg =
     Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV instead of tables.")
@@ -562,13 +563,9 @@ let asm_run_cmd =
     let src = really_input_string ic len in
     close_in ic;
     let prog = Sempe_isa.Asm.parse src in
-    let support = Scheme.support scheme in
-    let timing = Timing.create () in
-    let config =
-      { Sempe_core.Exec.default_config with
-        Sempe_core.Exec.support; mem_words = 1 lsl 16 }
+    let { Run.exec = res; timing = report } =
+      Run.simulate ~support:(Scheme.support scheme) ~mem_words:(1 lsl 16) prog
     in
-    let res = Sempe_core.Exec.run ~config ~sink:(Timing.feed timing) prog in
     if json then
       print_json
         (Json.Obj
@@ -579,14 +576,14 @@ let asm_run_cmd =
              ("instructions", Json.Int res.Sempe_core.Exec.dyn_instrs);
              ("rv", Json.Int res.Sempe_core.Exec.regs.(Sempe_isa.Reg.rv));
              ("max_nesting", Json.Int res.Sempe_core.Exec.max_nesting);
-             ("report", Report.to_json (Timing.report timing));
+             ("report", Report.to_json report);
            ])
     else begin
       Printf.printf "%s: %d instructions, rv = %d, max nesting %d\n\n" path
         res.Sempe_core.Exec.dyn_instrs
         res.Sempe_core.Exec.regs.(Sempe_isa.Reg.rv)
         res.Sempe_core.Exec.max_nesting;
-      print_endline (Report.render (Timing.report timing))
+      print_endline (Report.render report)
     end
   in
   let path =
@@ -738,7 +735,7 @@ let fuzz_cmd =
 let disasm_cmd =
   let run scheme workload =
     Format.printf "%a@." Sempe_isa.Program.pp
-      (Api.build scheme workload).Harness.prog
+      (Workload.build scheme workload).Harness.prog
   in
   (* Only the program matters here: kernels compile at W=1, one
      iteration, and no secret inputs are read. *)

@@ -8,16 +8,3 @@ type t = {
   load_state : string -> unit;
 }
 
-let constant name dir =
-  {
-    name;
-    predict = (fun ~pc:_ -> dir);
-    update = (fun ~pc:_ ~taken:_ -> ());
-    reset = (fun () -> ());
-    snapshot_signature = (fun () -> 0);
-    save_state = (fun () -> "");
-    load_state = (fun _ -> ());
-  }
-
-let always_taken () = constant "always-taken" true
-let always_not_taken () = constant "always-not-taken" false

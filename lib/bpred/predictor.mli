@@ -25,5 +25,3 @@ type t = {
       @raise Invalid_argument on a shape mismatch. *)
 }
 
-val always_taken : unit -> t
-val always_not_taken : unit -> t

@@ -1,26 +1,24 @@
-module MB = Sempe_workloads.Microbench
-module Kernels = Sempe_workloads.Kernels
-module Harness = Sempe_workloads.Harness
+module Workload = Sempe_workloads.Workload
 module Scheme = Sempe_core.Scheme
-module Run = Sempe_core.Run
 module Config = Sempe_pipeline.Config
 module Timing = Sempe_pipeline.Timing
 module Spm = Sempe_mem.Spm
 module Tablefmt = Sempe_util.Tablefmt
 module Json = Sempe_obs.Json
 
-let run_cycles ?machine scheme src ~width =
-  let built = Harness.build scheme src in
-  let o =
-    Harness.run ?machine ~globals:(MB.secrets_for_leaf ~width ~leaf:1) built
-  in
-  o.Run.timing
+(* Every ablation runs the Fibonacci chain, steered to its first leaf. *)
+let chain ~width ~iters =
+  Workload.Microbench { kernel = "fibonacci"; width; iters; leaf = 1 }
 
-let spm_throughput_sweep ?(bytes_per_cycle = [ 8; 16; 32; 64; 128; 256 ])
-    ?(width = 10) ?(iters = 2) () =
-  let spec = { MB.kernel = Kernels.fibonacci; width; iters } in
-  let src = MB.program ~ct:false spec in
-  let base = (run_cycles Scheme.Baseline src ~width).Timing.cycles in
+(* The chain the throughput, snapshot and drain ablations share: Table
+   I's W=10, two iterations. *)
+let w10 = chain ~width:10 ~iters:2
+
+let timing ?machine scheme w =
+  (Workload.run ?machine (Workload.build scheme w) w).Sempe_core.Run.timing
+
+let spm_throughput_sweep () =
+  let base = (timing Scheme.Baseline w10).Timing.cycles in
   Batch.map
     (fun throughput ->
       let machine =
@@ -30,20 +28,18 @@ let spm_throughput_sweep ?(bytes_per_cycle = [ 8; 16; 32; 64; 128; 256 ])
             { Spm.default_config with Spm.throughput_bytes = throughput };
         }
       in
-      let c = (run_cycles ~machine Scheme.Sempe src ~width).Timing.cycles in
+      let c = (timing ~machine Scheme.Sempe w10).Timing.cycles in
       (throughput, float_of_int c /. float_of_int base))
-    bytes_per_cycle
+    [ 8; 16; 32; 64; 128; 256 ]
 
 (* PhyRS moves the whole physical file (256 INT + 256 FP) plus its RAT
    share at every snapshot point instead of the 48 architectural
    registers; the per-register footprint is the same, so the transfer
    volume scales by the register ratio. We substitute that volume into the
    measured run: total cycles - measured SPM cycles + scaled SPM cycles. *)
-let archrs_vs_phyrs ?(width = 10) ?(iters = 2) () =
-  let spec = { MB.kernel = Kernels.fibonacci; width; iters } in
-  let src = MB.program ~ct:false spec in
-  let base = (run_cycles Scheme.Baseline src ~width).Timing.cycles in
-  let r = run_cycles Scheme.Sempe src ~width in
+let archrs_vs_phyrs () =
+  let base = (timing Scheme.Baseline w10).Timing.cycles in
+  let r = timing Scheme.Sempe w10 in
   let arch = float_of_int r.Timing.cycles /. float_of_int base in
   let phys_regs = Config.default.Config.int_regs + Config.default.Config.fp_regs in
   let scale = float_of_int phys_regs /. float_of_int Spm.default_config.Spm.arch_regs in
@@ -61,8 +57,6 @@ let archrs_vs_phyrs ?(width = 10) ?(iters = 2) () =
 let deepest_supported ~entries =
   (* Binary-search-free: nesting W-1 = entries succeeds, entries+1 fails. *)
   let try_width width =
-    let spec = { MB.kernel = Kernels.fibonacci; width; iters = 1 } in
-    let src = MB.program ~ct:false spec in
     let machine =
       {
         Config.default with
@@ -70,26 +64,27 @@ let deepest_supported ~entries =
         Config.spm = { Spm.default_config with Spm.max_snapshots = entries };
       }
     in
-    match run_cycles ~machine Scheme.Sempe src ~width with
+    match timing ~machine Scheme.Sempe (chain ~width ~iters:1) with
     | (_ : Timing.report) -> true
     | exception (Sempe_core.Jbtable.Overflow | Spm.Overflow) -> false
   in
   let rec climb w = if w <= 40 && try_width w then climb (w + 1) else w - 1 in
   climb 1
 
-let jbtable_capacity ?(capacities = [ 2; 4; 8; 16; 30 ]) () =
-  Batch.map (fun entries -> (entries, deepest_supported ~entries)) capacities
+let jbtable_capacity () =
+  Batch.map
+    (fun entries -> (entries, deepest_supported ~entries))
+    [ 2; 4; 8; 16; 30 ]
 
-let drain_sensitivity ?(depths = [ 4; 8; 16; 24 ]) ?(width = 10) ?(iters = 2) () =
-  let spec = { MB.kernel = Kernels.fibonacci; width; iters } in
-  let src = MB.program ~ct:false spec in
+let drain_sensitivity () =
   Batch.map
     (fun depth ->
       let machine = { Config.default with Config.frontend_depth = depth } in
-      let base = (run_cycles ~machine Scheme.Baseline src ~width).Timing.cycles in
-      let c = (run_cycles ~machine Scheme.Sempe src ~width).Timing.cycles in
-      (depth, float_of_int c /. float_of_int base))
-    depths
+      let cycles scheme = (timing ~machine scheme w10).Timing.cycles in
+      ( depth,
+        float_of_int (cycles Scheme.Sempe)
+        /. float_of_int (cycles Scheme.Baseline) ))
+    [ 4; 8; 16; 24 ]
 
 type measurements = {
   spm : (int * float) list;

@@ -1,41 +1,28 @@
-(** Ablations of the design choices called out in §IV-F and §IV-E.
+(** Ablations of the design choices called out in §IV-F and §IV-E, all
+    on the Fibonacci chain:
 
     - SPM throughput: how the snapshot-transfer bandwidth (Table II:
-      64 B/cycle) moves SeMPE's overhead;
+      64 B/cycle) moves SeMPE's overhead, at 8 to 256 bytes per cycle;
     - ArchRS vs PhyRS: the paper rejects physical-register snapshots
       because saving the full physical file and RAT per SecBlock moves an
       order of magnitude more state; we recompute SeMPE's cycles with the
-      PhyRS transfer volume substituted for the ArchRS one;
+      PhyRS transfer volume (512 registers + RAT share) substituted for
+      the ArchRS one;
     - jbTable capacity: the deepest supported nesting equals the number of
       entries, and exceeding it raises the architectural overflow
-      exception;
-    - pipeline-drain sensitivity: the front-end refill depth scales the
-      cost of the three drains per SecBlock. *)
-
-val spm_throughput_sweep :
-  ?bytes_per_cycle:int list -> ?width:int -> ?iters:int -> unit -> (int * float) list
-(** (throughput, SeMPE slowdown over baseline) on the Fibonacci chain. *)
-
-val archrs_vs_phyrs : ?width:int -> ?iters:int -> unit -> (string * float) list
-(** Named slowdowns: measured ArchRS, and PhyRS with the snapshot volume of
-    the full physical file (512 registers + RAT share). *)
-
-val jbtable_capacity : ?capacities:int list -> unit -> (int * int) list
-(** (entries, deepest nesting that completes before {!Sempe_core.Jbtable.Overflow}). *)
-
-val drain_sensitivity :
-  ?depths:int list -> ?width:int -> ?iters:int -> unit -> (int * float) list
-(** (front-end depth, SeMPE slowdown). *)
+      exception ({!Sempe_core.Jbtable.Overflow}), for 2 to 30 entries;
+    - pipeline-drain sensitivity: the front-end refill depth (4 to 24)
+      scales the cost of the three drains per SecBlock. *)
 
 type measurements = {
-  spm : (int * float) list;
-  snapshot : (string * float) list;
-  jbtable : (int * int) list;
-  drain : (int * float) list;
+  spm : (int * float) list;  (** (bytes per cycle, SeMPE slowdown) *)
+  snapshot : (string * float) list;  (** (mechanism, SeMPE slowdown) *)
+  jbtable : (int * int) list;  (** (entries, deepest nesting completing) *)
+  drain : (int * float) list;  (** (front-end depth, SeMPE slowdown) *)
 }
 
 val measure : unit -> measurements
-(** Run all four ablations with their defaults. *)
+(** Run all four ablations. *)
 
 val render : measurements -> string
 (** Format the measurements as the four text tables. *)

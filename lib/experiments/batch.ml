@@ -33,11 +33,6 @@ let with_tm f =
 
 let set_progress on = with_tm (fun () -> progress_enabled := on)
 
-let reset_telemetry () =
-  with_tm (fun () ->
-      job_seconds := Stats.Summary.create ();
-      wall_seconds := 0.0)
-
 let telemetry () =
   with_tm (fun () ->
       let s = !job_seconds in

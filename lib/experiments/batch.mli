@@ -25,7 +25,7 @@ val default_jobs : unit -> int
     the binaries pass to {!set_jobs} when [-j] is not given. *)
 
 type telemetry = {
-  jobs_run : int;     (** jobs completed since the last {!reset_telemetry} *)
+  jobs_run : int;     (** jobs completed since startup *)
   wall_s : float;     (** summed wall-clock time of the {!map} batches *)
   mean_s : float;     (** mean per-job wall-clock seconds *)
   p50_s : float;      (** median per-job seconds (nearest rank) *)
@@ -35,13 +35,10 @@ type telemetry = {
 }
 
 val telemetry : unit -> telemetry option
-(** Aggregate per-job timing across every {!map} batch since startup (or
-    the last {!reset_telemetry}); [None] before any job has completed.
+(** Aggregate per-job timing across every {!map} batch since startup;
+    [None] before any job has completed.
     Collection is always on — the cost is one [gettimeofday] pair per
     job, negligible next to a simulation. *)
-
-val reset_telemetry : unit -> unit
-(** Zero the accumulated job timings and wall clock. *)
 
 val set_progress : bool -> unit
 (** When enabled, every {!map} batch writes a [\r[sweep] k/n] progress

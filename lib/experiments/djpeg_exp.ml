@@ -1,5 +1,5 @@
 module Djpeg = Sempe_workloads.Djpeg
-module Harness = Sempe_workloads.Harness
+module Workload = Sempe_workloads.Workload
 module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
 module Timing = Sempe_pipeline.Timing
@@ -14,31 +14,30 @@ type cell = {
   sempe : Timing.report;
 }
 
-(* The programs are compiled once per format (cheap, and shared read-only
-   by the jobs); each (format, size) cell is one independent simulation
-   job fanned out through Batch. *)
-let collect ?(sizes = Djpeg.sizes) ?(seed = 42) () =
+(* The programs are compiled once per format (a djpeg program does not
+   depend on the block count; cheap, and shared read-only by the jobs);
+   each (format, size) cell is one independent simulation job fanned out
+   through Batch. *)
+let collect ?(sizes = Djpeg.sizes) () =
   let cells =
     List.concat_map
       (fun format ->
-        let src = Djpeg.program format in
-        let base_built = Harness.build Scheme.Baseline src in
-        let sempe_built = Harness.build Scheme.Sempe src in
-        List.map (fun size -> (format, base_built, sempe_built, size)) sizes)
+        let workload blocks =
+          Workload.Djpeg
+            { format = Djpeg.format_name format; blocks; seed = 42 }
+        in
+        let base_built = Workload.build Scheme.Baseline (workload 1) in
+        let sempe_built = Workload.build Scheme.Sempe (workload 1) in
+        List.map
+          (fun (size : Djpeg.size) ->
+            (format, size, workload size.Djpeg.blocks, base_built, sempe_built))
+          sizes)
       Djpeg.all_formats
   in
   Batch.map
-    (fun (format, base_built, sempe_built, (size : Djpeg.size)) ->
-      let globals, arrays =
-        Djpeg.inputs format ~seed ~blocks:size.Djpeg.blocks
-      in
-      let run built =
-        let o = Harness.run ~globals ~arrays built in
-        o.Run.timing
-      in
-      let base = run base_built in
-      let sempe = run sempe_built in
-      { format; size; base; sempe })
+    (fun (format, size, w, base_built, sempe_built) ->
+      let timing built = (Workload.run built w).Run.timing in
+      { format; size; base = timing base_built; sempe = timing sempe_built })
     cells
 
 let overhead cell =

@@ -11,7 +11,9 @@ type cell = {
   sempe : Sempe_pipeline.Timing.report;
 }
 
-val collect : ?sizes:Sempe_workloads.Djpeg.size list -> ?seed:int -> unit -> cell list
+val collect : ?sizes:Sempe_workloads.Djpeg.size list -> unit -> cell list
+(** One cell per format and size (default {!Sempe_workloads.Djpeg.sizes}),
+    image seed 42. *)
 
 val overhead : cell -> float
 (** [sempe cycles / baseline cycles - 1]. *)

@@ -1,4 +1,5 @@
 module MB = Sempe_workloads.Microbench
+module Workload = Sempe_workloads.Workload
 module Kernels = Sempe_workloads.Kernels
 module Harness = Sempe_workloads.Harness
 module Scheme = Sempe_core.Scheme
@@ -16,28 +17,27 @@ type point = {
 
 type series = { kernel : string; points : point list }
 
-let cycles scheme src ~secrets = Run.cycles (Harness.run ~globals:secrets (Harness.build scheme src))
-
 let point ~kernel ~width ~iters =
-  let spec = { MB.kernel; width; iters } in
-  let plain = MB.program ~ct:false spec in
-  let ct = MB.program ~ct:true spec in
-  let leaf1 = MB.secrets_for_leaf ~width ~leaf:1 in
-  let baseline_cycles = cycles Scheme.Baseline plain ~secrets:leaf1 in
-  let sempe_cycles = cycles Scheme.Sempe plain ~secrets:leaf1 in
-  let cte_cycles = cycles Scheme.Cte ct ~secrets:leaf1 in
+  let chain leaf =
+    Workload.Microbench { kernel = kernel.Kernels.name; width; iters; leaf }
+  in
+  let cycles scheme w = Run.cycles (Workload.run (Workload.build scheme w) w) in
+  let leaf1 = chain 1 in
+  let baseline_cycles = cycles Scheme.Baseline leaf1 in
+  let sempe_cycles = cycles Scheme.Sempe leaf1 in
+  let cte_cycles = cycles Scheme.Cte leaf1 in
   (* Ideal: the sum of the standalone times of all W+1 paths. Each leaf is
      timed on the unprotected baseline; the chain/loop skeleton, counted
      once in the ideal, is measured with a null kernel. *)
   let skeleton =
-    cycles Scheme.Baseline (MB.skeleton ~width ~iters) ~secrets:leaf1
+    Run.cycles
+      (Workload.run
+         (Harness.build Scheme.Baseline (MB.skeleton ~width ~iters))
+         leaf1)
   in
   let path_sum =
     List.fold_left
-      (fun acc leaf ->
-        acc
-        + cycles Scheme.Baseline plain
-            ~secrets:(MB.secrets_for_leaf ~width ~leaf))
+      (fun acc leaf -> acc + cycles Scheme.Baseline (chain leaf))
       0
       (List.init (width + 1) (fun k -> k + 1))
   in

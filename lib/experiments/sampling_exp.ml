@@ -1,6 +1,5 @@
 module Djpeg = Sempe_workloads.Djpeg
-module MB = Sempe_workloads.Microbench
-module Kernels = Sempe_workloads.Kernels
+module Workload = Sempe_workloads.Workload
 module Harness = Sempe_workloads.Harness
 module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
@@ -24,34 +23,21 @@ let in_bound c = Sampling.contains c.estimate ~cycles:c.full_cycles
 let speedup c =
   if c.sampled_s > 0. then c.full_s /. c.sampled_s else Float.nan
 
-(* One workload of the validation grid: a built program plus its input
-   state, simulated once in full and once per coverage level. *)
-type workload = {
-  wname : string;
-  built : Harness.built;
-  globals : (string * int) list;
-  arrays : (string * int array) list;
-}
+(* The grid: the djpeg formats at 32 blocks (small enough that the full
+   reference runs stay affordable) and one microbenchmark chain, each
+   with its row label. *)
+let workloads =
+  List.map
+    (fun f ->
+      let format = Djpeg.format_name f in
+      ("djpeg-" ^ format, Workload.Djpeg { format; blocks = 32; seed = 42 }))
+    Djpeg.all_formats
+  @ [ ( "mb-fibonacci",
+        Workload.Microbench
+          { kernel = "fibonacci"; width = 4; iters = 120; leaf = 1 } ) ]
 
-let djpeg_workload ~seed ~blocks format =
-  let built = Harness.build Scheme.Sempe (Djpeg.program format) in
-  let globals, arrays = Djpeg.inputs format ~seed ~blocks in
-  {
-    wname = Printf.sprintf "djpeg-%s" (Djpeg.format_name format);
-    built;
-    globals;
-    arrays;
-  }
-
-let microbench_workload ~width ~iters kernel =
-  let spec = { MB.kernel; width; iters } in
-  let built = Harness.build Scheme.Sempe (MB.program ~ct:false spec) in
-  {
-    wname = Printf.sprintf "mb-%s" kernel.Kernels.name;
-    built;
-    globals = MB.secrets_for_leaf ~width ~leaf:1;
-    arrays = [];
-  }
+let coverages = [ 0.05; 0.10; 0.25 ]
+let warmup = 2_000
 
 (* Each workload is one Batch job: the full reference run and the sampled
    runs for every coverage level share the job so the wall-clock
@@ -59,42 +45,33 @@ let microbench_workload ~width ~iters kernel =
    Inside a Batch job the sampler is pinned to [workers:1] — the fan-out
    already happens at the workload level, and nested pools on an
    oversubscribed host only add GC-rendezvous stalls. *)
-let collect ?(coverages = [ 0.05; 0.10; 0.25 ]) ?interval ?(warmup = 2_000)
-    ?(blocks = 32) ?(mb_width = 4) ?(mb_iters = 120) ?(seed = 42) () =
-  let workloads =
-    List.map (djpeg_workload ~seed ~blocks) Djpeg.all_formats
-    @ List.map
-        (microbench_workload ~width:mb_width ~iters:mb_iters)
-        [ List.hd Kernels.all ]
-  in
+let collect () =
   Batch.map
-    (fun w ->
+    (fun (name, w) ->
+      let built = Workload.build Scheme.Sempe w in
       let t0 = Pool.now_s () in
-      let outcome = Harness.run ~globals:w.globals ~arrays:w.arrays w.built in
+      let outcome = Workload.run built w in
       let full = Run.cycles outcome in
       let full_s = Pool.now_s () -. t0 in
-      (* Unless pinned, size intervals to the workload (~40 per run) so
-         every cell measures enough intervals for a meaningful band — a
-         fixed interval degenerates on the smaller workloads. The 10k
-         floor keeps per-interval boundary effects (the truncated
-         detailed warmup) small relative to the interval itself. *)
+      (* Size intervals to the workload (~40 per run) so every cell
+         measures enough intervals for a meaningful band — a fixed
+         interval degenerates on the smaller workloads. The 10k floor
+         keeps per-interval boundary effects (the truncated detailed
+         warmup) small relative to the interval itself. *)
       let interval =
-        match interval with
-        | Some i -> i
-        | None ->
-          max 10_000 (outcome.Run.timing.Sempe_pipeline.Timing.instructions / 40)
+        max 10_000 (outcome.Run.timing.Sempe_pipeline.Timing.instructions / 40)
       in
+      let globals, arrays = Workload.inputs w in
       List.map
         (fun coverage ->
           let config = { Sampling.default_config with interval; coverage; warmup } in
           let t1 = Pool.now_s () in
           let estimate =
-            Harness.sample ~globals:w.globals ~arrays:w.arrays ~config
-              ~workers:1 w.built
+            Harness.sample ~globals ~arrays ~config ~workers:1 built
           in
           let sampled_s = Pool.now_s () -. t1 in
           {
-            workload = w.wname;
+            workload = name;
             coverage;
             full_cycles = full;
             full_s;

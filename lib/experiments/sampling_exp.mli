@@ -28,21 +28,11 @@ val in_bound : cell -> bool
 val speedup : cell -> float
 (** [full_s /. sampled_s]; NaN if the sampled run was too fast to time. *)
 
-val collect :
-  ?coverages:float list
-  -> ?interval:int
-  -> ?warmup:int
-  -> ?blocks:int
-  -> ?mb_width:int
-  -> ?mb_iters:int
-  -> ?seed:int
-  -> unit
-  -> cell list
-(** Run the grid. Defaults: coverages 5/10/25%, 2k warmup, 32 djpeg
-    blocks. Unless [interval] is pinned, each workload's interval is
-    sized from its dynamic instruction count (~40 intervals per run) so
-    the smaller workloads still measure enough intervals for a
-    meaningful band. *)
+val collect : unit -> cell list
+(** Run the grid: coverages 5/10/25%, 2k warmup, 32 djpeg blocks. Each
+    workload's interval is sized from its dynamic instruction count (~40
+    intervals per run) so the smaller workloads still measure enough
+    intervals for a meaningful band. *)
 
 val render : cell list -> string
 val csv : cell list -> string

@@ -1,5 +1,5 @@
 module Harness = Sempe_workloads.Harness
-module Rsa = Sempe_workloads.Rsa
+module Workload = Sempe_workloads.Workload
 module Scheme = Sempe_core.Scheme
 module Observable = Sempe_security.Observable
 module Leakage = Sempe_security.Leakage
@@ -18,24 +18,31 @@ type result = {
 
 let default_keys = [ 0x0000; 0xffff; 0xa5a5; 0x0f0f; 0x8001; 0x1234; 0x7fff ]
 
-let view scheme ~key =
-  let built = Harness.build scheme Rsa.program in
-  let globals, arrays = Rsa.inputs ~key ~base:Rsa.base ~modulus:Rsa.modulus in
-  let recorder = Observable.recorder () in
-  let outcome =
-    Harness.run ~globals ~arrays ~observe:(Observable.feed recorder) built
-  in
-  Observable.view recorder outcome.Sempe_core.Run.timing
+(* An RSA program does not depend on the key, so each scheme compiles it
+   once and runs it from every key's inputs. *)
+let rsa_program scheme = Workload.build scheme (Workload.Rsa { key = 0 })
 
 (* One job per scheme (each job sweeps all keys); the schemes' runs are
-   independent, so they fan out through Batch. *)
-let measure ?(keys = default_keys) () =
+   independent, so they fan out through Batch. The timing attack reads
+   the cycle counts of the same runs the observables came from. *)
+let measure () =
   Batch.map
     (fun scheme ->
-      let views = List.map (fun key -> view scheme ~key) keys in
-      let leaky = Leakage.leaky_channels views in
-      let run ~key = (view scheme ~key).Observable.cycles in
-      let timing_correlation = Attacker.timing_key_correlation ~run ~keys in
+      let built = rsa_program scheme in
+      let view key =
+        let recorder = Observable.recorder () in
+        let outcome =
+          Workload.run ~observe:(Observable.feed recorder) built
+            (Workload.Rsa { key })
+        in
+        (key, Observable.view recorder outcome.Sempe_core.Run.timing)
+      in
+      let views = List.map view default_keys in
+      let leaky = Leakage.leaky_channels (List.map snd views) in
+      let run ~key = (List.assoc key views).Observable.cycles in
+      let timing_correlation =
+        Attacker.timing_key_correlation ~run ~keys:default_keys
+      in
       { scheme; leaky; timing_correlation })
     Scheme.all
 
@@ -49,30 +56,24 @@ type attribution_result = {
   a_program : Sempe_isa.Program.t;
 }
 
-let witness scheme ~key =
-  let built = Harness.build scheme Rsa.program in
-  let globals, arrays = Rsa.inputs ~key ~base:Rsa.base ~modulus:Rsa.modulus in
-  let w = Witness.create () in
-  let outcome =
-    Harness.run ~globals ~arrays ~sink:(Sink.of_probe (Witness.probe w)) built
-  in
-  ignore outcome;
-  (w, built.Harness.prog)
-
 let measure_attribution ?(keys = default_keys) () =
   Batch.map
     (fun scheme ->
-      let pairs = List.map (fun key -> witness scheme ~key) keys in
-      let witnesses = List.map fst pairs in
-      let program =
-        match pairs with (_, p) :: _ -> p | [] -> assert false
+      let built = rsa_program scheme in
+      let witness key =
+        let w = Witness.create () in
+        ignore
+          (Workload.run ~sink:(Sink.of_probe (Witness.probe w)) built
+             (Workload.Rsa { key }));
+        w
       in
+      let witnesses = List.map witness keys in
       {
         a_scheme = scheme;
         a_keys = keys;
         a_attribution = Attribution.attribute witnesses;
         a_witnesses = witnesses;
-        a_program = program;
+        a_program = built.Harness.prog;
       })
     Scheme.all
 

@@ -1,6 +1,5 @@
-module MB = Sempe_workloads.Microbench
+module Workload = Sempe_workloads.Workload
 module Kernels = Sempe_workloads.Kernels
-module Harness = Sempe_workloads.Harness
 module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
 module Tablefmt = Sempe_util.Tablefmt
@@ -18,20 +17,12 @@ let schemes = [ Scheme.Cte; Scheme.Mto; Scheme.Raccoon; Scheme.Sempe ]
    baseline variants on fresh machines — fanned out through Batch. *)
 let measure ?(width = 10) ?(iters = 2) () =
   let overhead scheme kernel =
-    let spec = { MB.kernel; width; iters } in
-    let ct =
-      match scheme with
-      | Scheme.Cte | Scheme.Raccoon | Scheme.Mto -> true
-      | Scheme.Baseline | Scheme.Sempe | Scheme.Sempe_on_legacy -> false
+    let w =
+      Workload.Microbench
+        { kernel = kernel.Kernels.name; width; iters; leaf = 1 }
     in
-    let src = MB.program ~ct spec in
-    let src_plain = if ct then MB.program ~ct:false spec else src in
-    let secrets = MB.secrets_for_leaf ~width ~leaf:1 in
-    let cycles s prog =
-      Run.cycles (Harness.run ~globals:secrets (Harness.build s prog))
-    in
-    float_of_int (cycles scheme src)
-    /. float_of_int (cycles Scheme.Baseline src_plain)
+    let cycles s = Run.cycles (Workload.run (Workload.build s w) w) in
+    float_of_int (cycles scheme) /. float_of_int (cycles Scheme.Baseline)
   in
   Batch.map_product overhead schemes Kernels.all
   |> List.map (fun (scheme, os) ->

@@ -80,16 +80,6 @@ let rec expr_reads = function
   | Select (c, a, b) ->
     Sset.union (expr_reads c) (Sset.union (expr_reads a) (expr_reads b))
 
-let rec expr_arrays = function
-  | Int _ | Var _ -> Sset.empty
-  | Index (a, e) -> Sset.add a (expr_arrays e)
-  | Unop (_, e) -> expr_arrays e
-  | Binop (_, a, b) -> Sset.union (expr_arrays a) (expr_arrays b)
-  | Call (_, args) ->
-    List.fold_left (fun acc e -> Sset.union acc (expr_arrays e)) Sset.empty args
-  | Select (c, a, b) ->
-    Sset.union (expr_arrays c) (Sset.union (expr_arrays a) (expr_arrays b))
-
 let rec expr_has_call = function
   | Int _ | Var _ -> false
   | Index (_, e) | Unop (_, e) -> expr_has_call e
@@ -133,18 +123,6 @@ let block_stored_arrays block =
       match stmt with
       | Store (a, _, _) -> Sset.add a acc
       | Assign _ | If _ | While _ | For _ | Expr _ | Return _ -> acc)
-    Sset.empty block
-
-let block_read_arrays block =
-  block_fold
-    (fun acc stmt ->
-      let add e = Sset.union acc (expr_arrays e) in
-      match stmt with
-      | Assign (_, e) | Expr e | Return e -> add e
-      | Store (_, ie, e) -> Sset.union (add ie) (expr_arrays e)
-      | If { cond; _ } -> add cond
-      | While (cond, _) -> add cond
-      | For (_, lo, hi, _) -> Sset.union (add lo) (expr_arrays hi))
     Sset.empty block
 
 let rec subst_scalar_expr ~old ~fresh = function

@@ -100,9 +100,6 @@ val block_fold : ('a -> stmt -> 'a) -> 'a -> block -> 'a
 val expr_reads : expr -> Sset.t
 (** Scalar variables read by an expression. *)
 
-val expr_arrays : expr -> Sset.t
-(** Arrays read by an expression. *)
-
 val expr_has_call : expr -> bool
 
 val block_assigned : block -> Sset.t
@@ -112,7 +109,6 @@ val block_reads : block -> Sset.t
 (** Scalars read anywhere in the block. *)
 
 val block_stored_arrays : block -> Sset.t
-val block_read_arrays : block -> Sset.t
 
 val subst_scalar : old:string -> fresh:string -> block -> block
 (** Rename every read and write of scalar [old] to [fresh], recursively. *)

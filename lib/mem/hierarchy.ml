@@ -1,5 +1,3 @@
-open Sempe_util
-
 type config = {
   il1 : Cache.config;
   dl1 : Cache.config;
@@ -84,13 +82,6 @@ let flush t =
   Cache.flush t.l2;
   Prefetch.Stride.reset t.stride;
   Prefetch.Stream.reset t.stream
-
-let reset_stats t =
-  Stats.reset_group (Cache.stats t.il1);
-  Stats.reset_group (Cache.stats t.dl1);
-  Stats.reset_group (Cache.stats t.l2)
-
-let miss_rates t = (Cache.miss_rate t.il1, Cache.miss_rate t.dl1, Cache.miss_rate t.l2)
 
 let signature t =
   (Cache.signature t.il1 * 31) + (Cache.signature t.dl1 * 17) + Cache.signature t.l2

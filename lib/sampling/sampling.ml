@@ -35,8 +35,6 @@ type plan = {
 
 let plan_points p = List.length p.p_points
 let plan_instructions p = p.p_instructions
-let plan_bytes p = p.p_bytes
-
 (* ---- plan serialization ----
 
    A plan is plain data end to end: scalars plus [Checkpoint.t] values,

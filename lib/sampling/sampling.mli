@@ -82,10 +82,6 @@ val plan_points : plan -> int
 val plan_instructions : plan -> int
 (** Total dynamic instruction count recorded by the pass. *)
 
-val plan_bytes : plan -> int
-(** Serialized checkpoint volume (telemetry, mirrors
-    [estimate.checkpoint_bytes]). *)
-
 val plan_to_bytes : plan -> string
 (** Self-contained, versioned image of a plan: a magic/version header
     followed by a closure-free serialization (checkpoints are already

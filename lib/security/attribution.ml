@@ -115,9 +115,6 @@ let is_clean t = List.for_all (fun cr -> cr.cr_divergent = 0) t.by_channel
 let total_divergent t =
   List.fold_left (fun acc cr -> acc + cr.cr_divergent) 0 t.by_channel
 
-let find_report t stream =
-  List.find (fun cr -> cr.cr_stream = stream) t.by_channel
-
 (* Source-level statement for a static pc: the nearest preceding label of
    the program (codegen emits one per structured statement — sec_t,
    sec_join, while, fn_<name>_exit, ...) plus the instruction offset. *)

@@ -46,9 +46,6 @@ val is_clean : t -> bool
 
 val total_divergent : t -> int
 
-val find_report : t -> Witness.stream -> channel_report
-(** @raise Not_found never (every stream has a report). *)
-
 val locate : Sempe_isa.Program.t -> int -> string
 (** Source-level statement for a static pc via the program's label table
     (nearest preceding label plus offset), e.g. ["sec_t1+2 (pc 14)"]. *)

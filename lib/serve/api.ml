@@ -6,7 +6,7 @@ module Scheme = Sempe_core.Scheme
 module Run = Sempe_core.Run
 module Sampling = Sempe_sampling.Sampling
 module Harness = Sempe_workloads.Harness
-module MB = Sempe_workloads.Microbench
+module Workload = Sempe_workloads.Workload
 module Kernels = Sempe_workloads.Kernels
 module Djpeg = Sempe_workloads.Djpeg
 module Rsa = Sempe_workloads.Rsa
@@ -15,7 +15,7 @@ module Fuzz = Sempe_fuzz.Fuzz
 module Program = Sempe_isa.Program
 module Security_exp = Sempe_experiments.Security_exp
 
-type workload =
+type workload = Workload.t =
   | Microbench of { kernel : string; width : int; iters : int; leaf : int }
   | Djpeg of { format : string; blocks : int; seed : int }
   | Rsa of { key : int }
@@ -57,88 +57,18 @@ type result =
   | Leakage_matrix of Security_exp.result list
   | Fuzzed of { config : Fuzz.config; outcome : Fuzz.outcome }
 
-(* The software schemes get the constant-time kernel variants (their
-   transforms would not terminate on data-dependent loops). *)
-let ct_of_scheme = function
-  | Scheme.Cte | Scheme.Raccoon | Scheme.Mto -> true
-  | Scheme.Baseline | Scheme.Sempe | Scheme.Sempe_on_legacy -> false
-
-let kernel_named name =
-  match Kernels.by_name name with
-  | Some k -> k
-  | None -> invalid_arg (Printf.sprintf "Api: unknown kernel %S" name)
-
-let format_of_name name =
-  let name = String.uppercase_ascii name in
-  List.find_opt (fun f -> Djpeg.format_name f = name) Djpeg.all_formats
-
-let format_named name =
-  match format_of_name name with
-  | Some fmt -> fmt
-  | None -> invalid_arg (Printf.sprintf "Api: unknown djpeg format %S" name)
-
-let check_workload workload =
-  match workload with
-  | Microbench { kernel; width; iters; leaf } ->
-    if Kernels.by_name kernel = None then
-      Error
-        (Printf.sprintf "unknown kernel %S (expected one of: %s)" kernel
-           (String.concat ", " (List.map (fun k -> k.Kernels.name) Kernels.all)))
-    else if width < 1 then Error "field \"width\" must be >= 1"
-    else if iters < 1 then Error "field \"iters\" must be >= 1"
-    else if leaf < 1 || leaf > width + 1 then
-      Error
-        (Printf.sprintf "field \"leaf\" must be in 1..%d (the width plus one)"
-           (width + 1))
-    else Ok workload
-  | Djpeg { format; blocks; seed } -> (
-    match format_of_name format with
-    | None ->
-      Error
-        (Printf.sprintf "unknown djpeg format %S (PPM, GIF or BMP)"
-           (String.uppercase_ascii format))
-    | Some _ when blocks < 1 -> Error "field \"blocks\" must be >= 1"
-    | Some fmt -> Ok (Djpeg { format = Djpeg.format_name fmt; blocks; seed }))
-  | Rsa { key } ->
-    if key < 0 || key lsr Rsa.key_bits <> 0 then
-      Error (Printf.sprintf "field \"key\" must fit in %d bits" Rsa.key_bits)
-    else Ok workload
-
-let build scheme workload =
-  Harness.build scheme
-    (match workload with
-     | Microbench { kernel; width; iters; _ } ->
-       MB.program ~ct:(ct_of_scheme scheme)
-         { MB.kernel = kernel_named kernel; width; iters }
-     | Djpeg { format; _ } -> Djpeg.program (format_named format)
-     | Rsa _ -> Rsa.program)
-
-let inputs = function
-  | Microbench { width; leaf; _ } -> (MB.secrets_for_leaf ~width ~leaf, [])
-  | Djpeg { format; blocks; seed } ->
-    Djpeg.inputs (format_named format) ~seed ~blocks
-  | Rsa { key } -> Rsa.inputs ~key ~base:Rsa.base ~modulus:Rsa.modulus
-
-let describe = function
-  | Rsa { key } -> Printf.sprintf "rsa key=0x%04x" key
-  | Djpeg { format; blocks; seed } ->
-    Printf.sprintf "djpeg %s blocks=%d seed=%d" format blocks seed
-  | Microbench { kernel; width; iters; leaf } ->
-    Printf.sprintf "%s W=%d iters=%d leaf=%d" kernel width iters leaf
-
 let run ?workers ?plan ?plan_out request =
   let checked workload =
-    match check_workload workload with
+    match Workload.check workload with
     | Ok w -> w
     | Error msg -> invalid_arg ("Api: " ^ msg)
   in
   match request with
   | Simulate { scheme; workload; strict_oob } ->
     let workload = checked workload in
-    let globals, arrays = inputs workload in
     let forgiving_oob = not strict_oob in
     let outcome =
-      Harness.run ~forgiving_oob ~globals ~arrays (build scheme workload)
+      Workload.run ~forgiving_oob (Workload.build scheme workload) workload
     in
     (* The microbenchmark reports its slowdown against the unprotected
        baseline. *)
@@ -146,29 +76,30 @@ let run ?workers ?plan ?plan_out request =
       match workload with
       | Microbench _ ->
         Some
-          (Harness.run ~forgiving_oob ~globals (build Scheme.Baseline workload))
+          (Workload.run ~forgiving_oob
+             (Workload.build Scheme.Baseline workload)
+             workload)
       | Djpeg _ | Rsa _ -> None
     in
     Simulated { scheme; workload; outcome; baseline }
   | Sample { scheme; workload; strict_oob; params } ->
     let workload = checked workload in
-    let globals, arrays = inputs workload in
+    let globals, arrays = Workload.inputs workload in
     let { interval; coverage; warmup } = params in
     let config =
       { Sampling.default_config with Sampling.interval; coverage; warmup }
     in
     let estimate =
       Harness.sample ~forgiving_oob:(not strict_oob) ~globals ~arrays ~config
-        ?workers ?plan ?plan_out (build scheme workload)
+        ?workers ?plan ?plan_out (Workload.build scheme workload)
     in
     Sampled { scheme; workload; estimate }
   | Profile { scheme; workload; top } ->
     let workload = checked workload in
-    let globals, arrays = inputs workload in
-    let built = build scheme workload in
+    let built = Workload.build scheme workload in
     let profile = Profile.create () in
     let sink = Sink.of_probe (Profile.probe profile) in
-    let outcome = Harness.run ~globals ~arrays ~sink built in
+    let outcome = Workload.run ~sink built workload in
     sink.Sink.close ();
     let report = outcome.Run.timing and program = built.Harness.prog in
     Profiled { scheme; workload; top; report; profile; program }
@@ -243,7 +174,7 @@ let to_json = function
   | Profiled { scheme; workload; top; report; profile; _ } ->
     Json.Obj
       [
-        ("workload", Json.Str (describe workload));
+        ("workload", Json.Str (Workload.describe workload));
         ("scheme", Json.Str (Scheme.name scheme));
         ("report", Report.to_json report);
         ("profile", Profile.to_json ~n:top profile);
@@ -275,7 +206,7 @@ let render = function
         Sempe_isa.Instr.to_string code.(pc)
       else "?"
     in
-    Printf.sprintf "profile: %s, scheme=%s\n\n" (describe workload)
+    Printf.sprintf "profile: %s, scheme=%s\n\n" (Workload.describe workload)
       (Scheme.name scheme)
     ^ Report.render report ^ "\n\n"
     ^ Report.render_stall_stack report ^ "\n"
@@ -293,7 +224,7 @@ let workload_to_json = function
     Json.Obj
       [
         ("type", Json.Str "microbench");
-        ("kernel", Json.Str (kernel_named kernel).Kernels.name);
+        ("kernel", Json.Str (Workload.kernel_named kernel).Kernels.name);
         ("width", Json.Int width);
         ("iters", Json.Int iters);
         ("leaf", Json.Int leaf);
@@ -302,7 +233,7 @@ let workload_to_json = function
     Json.Obj
       [
         ("type", Json.Str "djpeg");
-        ("format", Json.Str (Djpeg.format_name (format_named format)));
+        ("format", Json.Str (Djpeg.format_name (Workload.format_named format)));
         ("blocks", Json.Int blocks);
         ("seed", Json.Int seed);
       ]
@@ -414,7 +345,7 @@ let workload_of_fields fields =
       Ok (Rsa { key })
     | other -> Error (Printf.sprintf "unknown workload type %S" other)
   in
-  check_workload workload
+  Workload.check workload
 
 let request_of_json json =
   match json with
@@ -481,7 +412,7 @@ let digests s =
    generated code, so two requests whose JSON collides but whose programs
    differ still get distinct keys. *)
 let program_digests scheme workload =
-  digests (Marshal.to_string (build scheme workload).Harness.prog [])
+  digests (Marshal.to_string (Workload.build scheme workload).Harness.prog [])
 
 let cache_key request =
   let j1, j2 = digests (Json.to_string (request_to_json request)) in

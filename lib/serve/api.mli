@@ -12,13 +12,13 @@ module Json = Sempe_obs.Json
 module Scheme = Sempe_core.Scheme
 module Sampling = Sempe_sampling.Sampling
 
-type workload =
+type workload = Sempe_workloads.Workload.t =
   | Microbench of { kernel : string; width : int; iters : int; leaf : int }
-      (** the Figure-7 nested chain; [kernel] is a {!Sempe_workloads.Kernels}
-          name *)
   | Djpeg of { format : string; blocks : int; seed : int }
-      (** [format] is PPM, GIF or BMP (case-insensitive) *)
   | Rsa of { key : int }
+(** The workload vocabulary, its range check, build and inputs live in
+    {!Sempe_workloads.Workload}; the constructors are repeated here so
+    [Api.Microbench {...}] names the same value. *)
 
 type sample_params = { interval : int; coverage : float; warmup : int }
 
@@ -37,27 +37,6 @@ type request =
   | Fuzz_smoke of { seed : int; count : int }
       (** a corpus-less differential-fuzz round —
           [sempe-sim fuzz --seed S --count N --no-corpus --json] *)
-
-val check_workload : workload -> (workload, string) Stdlib.result
-(** The one range check on a workload, shared by {!request_of_json} and
-    the CLI: the kernel or djpeg format must exist, [width], [iters] and
-    [blocks] must be positive, [leaf] must lie in [1..width+1] and [key]
-    must fit in {!Sempe_workloads.Rsa.key_bits} bits. The error names the
-    offending field. [Ok] carries the canonical spelling (upper-case
-    djpeg format). *)
-
-val build : Scheme.t -> workload -> Sempe_workloads.Harness.built
-(** The workload's program under the scheme's transform, compiled. The
-    software schemes (CTE, Raccoon, MTO) get the constant-time kernel
-    variants, since their transforms would not terminate on
-    data-dependent loops. *)
-
-val inputs : workload -> (string * int) list * (string * int array) list
-(** The named globals (secrets) and arrays a run of the workload starts
-    from. *)
-
-val describe : workload -> string
-(** One-line description, e.g. ["rsa key=0x1234"]. *)
 
 (** What a request computed, before it is rendered. *)
 type result =
@@ -101,9 +80,10 @@ val run :
     request's checkpoint plan (ignored for the other requests) — see
     {!Sempe_sampling.Sampling.estimate}.
 
-    @raise Invalid_argument on a workload {!check_workload} rejects (the
-    strict decoder {!request_of_json} and the CLI reject those earlier,
-    so neither the daemon nor a batch run gets this far). *)
+    @raise Invalid_argument on a workload
+    {!Sempe_workloads.Workload.check} rejects (the strict decoder
+    {!request_of_json} and the CLI reject those earlier, so neither the
+    daemon nor a batch run gets this far). *)
 
 val to_json : result -> Json.t
 (** The machine-readable view: the document [sempe-sim ... --json]
@@ -129,10 +109,10 @@ val request_to_json : request -> Json.t
 
 val request_of_json : Json.t -> (request, string) Stdlib.result
 (** Strict decode of a wire object: unknown ["op"], missing or
-    mistyped fields, workloads {!check_workload} rejects and
-    out-of-range sampling parameters are all [Error] with a message
-    naming the offending field. Unknown {e extra} fields are ignored (forward
-    compatibility). *)
+    mistyped fields, workloads {!Sempe_workloads.Workload.check} rejects
+    and out-of-range sampling parameters are all [Error] with a message
+    naming the offending field. Unknown {e extra} fields are ignored
+    (forward compatibility). *)
 
 val digests : string -> int * int
 (** Two independent FNV digests of a string — the primitive behind

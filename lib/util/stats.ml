@@ -4,8 +4,6 @@ type group = { gname : string; mutable entries : (string * counter) list }
 
 let group gname = { gname; entries = [] }
 
-let group_name g = g.gname
-
 let counter g name =
   if List.mem_assoc name g.entries then
     invalid_arg (Printf.sprintf "Stats.counter: duplicate %S in group %S" name g.gname);

@@ -13,8 +13,6 @@ type group
 val group : string -> group
 (** [group name] is a fresh, empty group. *)
 
-val group_name : group -> string
-
 val counter : group -> string -> counter
 (** [counter g name] registers a zeroed counter named [name] in [g]. Names
     must be unique within a group. *)

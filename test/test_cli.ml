@@ -92,6 +92,8 @@ let sim_table =
       [ "leakage"; "--channel"; "timing" ],
       124,
       Ignore_output );
+    ("report rejects an unknown experiment", [ "report"; "bogus" ], 124,
+     Ignore_output);
     (* The serving surface follows the same exit-code convention: bad
        addresses, unknown ops and unknown flags all exit 124 before any
        connection is attempted. *)
@@ -381,6 +383,11 @@ let golden_table =
   @ both "leakage" [ "leakage"; "-j"; "1" ]
   @ [ ("disasm-rsa.txt", [ "disasm"; "rsa" ]) ]
   @ both "sample-fibonacci" [ "sample"; "fibonacci" ]
+  @ [ ("report-ablation.json", [ "report"; "ablation"; "--json"; "-j"; "2" ]) ]
+
+let read_golden file =
+  In_channel.with_open_bin (Filename.concat golden_dir file)
+    In_channel.input_all
 
 let golden_case (file, args) =
   Alcotest.test_case ("golden " ^ file) `Quick (fun () ->
@@ -391,14 +398,94 @@ let golden_case (file, args) =
         |> mask ~before:"instrs (" ~after:"s wall)"
         |> mask ~before:"\"sampled_s\":" ~after:","
       in
-      let expected =
-        In_channel.with_open_bin (Filename.concat golden_dir file)
-          In_channel.input_all
-      in
-      Alcotest.(check string) (file ^ ": stdout") expected stdout)
+      Alcotest.(check string) (file ^ ": stdout") (read_golden file) stdout)
+
+(* [asm-run] on a small hand-written program: a loop whose every step
+   takes a secure branch. The temporary path is printed in both views,
+   so it is replaced by "FILE.s" before the comparison. *)
+let asm_source =
+  "# eight steps, each adding 3 or 5 through a secure branch\n\
+   .data 2\n\
+   entry:\n\
+   \tli r10, 8\n\
+   \tli r11, 0\n\
+   \tli r13, 4\n\
+   loop:\n\
+   \tslt r12, r10, r13\n\
+   \tsbne r12, r0, small\n\
+   \taddi r11, r11, 3\n\
+   \tjmp join\n\
+   small:\n\
+   \taddi r11, r11, 5\n\
+   join:\n\
+   \teosjmp\n\
+   \tst r11, 0(gp)\n\
+   \taddi r10, r10, -1\n\
+   \tbne r10, r0, loop\n\
+   \tld rv, 0(gp)\n\
+   \thalt\n"
+
+let replace_all ~sub ~by s =
+  let n = String.length sub in
+  let buf = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then
+      Buffer.add_string buf (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then begin
+      Buffer.add_string buf by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char buf s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents buf
+
+let asm_run_golden (file, flags) =
+  Alcotest.test_case ("golden " ^ file) `Quick (fun () ->
+      let path = Filename.temp_file "sempe-asm" ".s" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc asm_source);
+          let code, stdout = run sim_exe ([ "asm-run"; path ] @ flags) in
+          Alcotest.(check int) (file ^ ": exit code") 0 code;
+          Alcotest.(check string) (file ^ ": stdout") (read_golden file)
+            (replace_all ~sub:path ~by:"FILE.s" stdout)))
+
+(* The evaluation grids at the sizes the determinism and djpeg tests
+   already run, through each grid's JSON view. *)
+let grid_golden (file, doc) =
+  Alcotest.test_case ("golden " ^ file) `Quick (fun () ->
+      Alcotest.(check string) (file ^ ": json") (read_golden file)
+        (Json.to_string (doc ()) ^ "\n"))
+
+let grid_goldens =
+  let module E = Sempe_experiments in
+  let module Djpeg = Sempe_workloads.Djpeg in
+  [
+    ( "table1-w2.json",
+      fun () -> E.Table1.to_json (E.Table1.measure ~width:2 ~iters:1 ()) );
+    ( "fig10-w1-2.json",
+      fun () -> E.Fig10.to_json (E.Fig10.sweep ~widths:[ 1; 2 ] ~iters:1 ()) );
+    ( "djpeg-exp-small.json",
+      fun () ->
+        E.Djpeg_exp.to_json
+          (E.Djpeg_exp.collect
+             ~sizes:
+               [ { Djpeg.label = "s"; blocks = 4 };
+                 { Djpeg.label = "l"; blocks = 8 } ]
+             ()) );
+  ]
 
 let tests =
   List.map sim_case sim_table
   @ List.map golden_case golden_table
+  @ List.map asm_run_golden
+      [ ("asm-run.txt", []); ("asm-run.json", [ "--json" ]) ]
+  @ List.map grid_golden grid_goldens
   @ gate_table
   @ [ bench_bad_jobs; gate_malformed; trace_perfetto; leakage_attribute_json ]

@@ -319,7 +319,7 @@ let test_sampling_workers () =
    same result, data segment and report bytes either way. Strict OOB, so
    no access can be clamped differently by the two image sizes. *)
 
-module Api = Sempe_serve.Api
+module Workload = Sempe_workloads.Workload
 module Run = Sempe_core.Run
 
 let big_image = 1 lsl 20
@@ -331,7 +331,7 @@ let image_workloads =
         (fun width ->
           List.map
             (fun leaf ->
-              Api.Microbench
+              Workload.Microbench
                 { kernel = k.Kernels.name; width; iters = 1; leaf })
             [ 1; width + 1 ])
         [ 1; 2; 3; 4; 6 ])
@@ -339,18 +339,18 @@ let image_workloads =
   @ List.concat_map
       (fun format ->
         List.map
-          (fun blocks -> Api.Djpeg { format; blocks; seed = 1 })
+          (fun blocks -> Workload.Djpeg { format; blocks; seed = 1 })
           [ 1; 5; 64 ])
       (List.map Sempe_workloads.Djpeg.format_name
          Sempe_workloads.Djpeg.all_formats)
-  @ List.map (fun key -> Api.Rsa { key }) [ 0; 0xBEEF; 0xFFFF ]
+  @ List.map (fun key -> Workload.Rsa { key }) [ 0; 0xBEEF; 0xFFFF ]
 
 let check_image_independent scheme workload =
   let what =
-    Printf.sprintf "%s / %s" (Scheme.name scheme) (Api.describe workload)
+    Printf.sprintf "%s / %s" (Scheme.name scheme) (Workload.describe workload)
   in
-  let built = Api.build scheme workload in
-  let globals, arrays = Api.inputs workload in
+  let built = Workload.build scheme workload in
+  let globals, arrays = Workload.inputs workload in
   let run ?mem_words () =
     Harness.run ?mem_words ~forgiving_oob:false ~globals ~arrays built
   in
