@@ -1,15 +1,19 @@
 (* Hot-path split timer: where does a simulated instruction's time go?
-   Times the same workload in four modes — functional only, functional +
-   discarding sink, functional + warm, full detailed — and prints ns per
-   dynamic instruction for each, plus GC allocation per instruction.
-   `dune exec bench/hotpath.exe [--iters N] [--assert-alloc]` (default
-   sized for ~1M dynamic instructions). [--assert-alloc] exits non-zero
-   if any probe-free mode allocates measurably per instruction — the CI
-   smoke that keeps closures and per-event records out of the hot loop. *)
+   Times the same workload in six modes — functional only, functional +
+   discarding sink, functional + warm, full detailed, full detailed with
+   a probe that ignores its events, full detailed with a witness — and
+   prints ns per dynamic instruction for each, plus GC allocation per
+   instruction. `dune exec bench/hotpath.exe [--iters N] [--assert-alloc]`
+   (default sized for ~1M dynamic instructions). [--assert-alloc] exits
+   non-zero if a mode marked allocation-free allocates measurably per
+   instruction — the CI smoke that keeps closures and per-event records
+   out of the hot loop, probe-attached runs included. *)
 
 module Exec = Sempe_core.Exec
 module Run = Sempe_core.Run
 module Timing = Sempe_pipeline.Timing
+module Probe = Sempe_pipeline.Probe
+module Witness = Sempe_security.Witness
 module Warm = Sempe_pipeline.Warm
 module Harness = Sempe_workloads.Harness
 module Workload = Sempe_workloads.Workload
@@ -67,6 +71,20 @@ let () =
       res.Exec.dyn_instrs);
   time ~alloc_free:true "full detailed (timing)" (fun () ->
       let timing = Timing.create () in
+      let res = Exec.run ~config ~init_mem ~sink:(Timing.feed timing) prog in
+      res.Exec.dyn_instrs);
+  (* The timing model refills one event record per callback, so a probe
+     that ignores its events costs no allocation either. *)
+  time ~alloc_free:true "full detailed + probe" (fun () ->
+      let timing = Timing.create ~probe:Probe.null () in
+      let res = Exec.run ~config ~init_mem ~sink:(Timing.feed timing) prog in
+      res.Exec.dyn_instrs);
+  (* Reported, not asserted: the witness's 64 KB stream chunks are
+     allocated straight into the major heap, which [Gc.minor_words] does
+     not see, so this row's w/instr says nothing about its memory. *)
+  time "full detailed + witness" (fun () ->
+      let probe = Witness.probe (Witness.create ()) in
+      let timing = Timing.create ~probe () in
       let res = Exec.run ~config ~init_mem ~sink:(Timing.feed timing) prog in
       res.Exec.dyn_instrs);
   match List.rev !failures with

@@ -501,6 +501,16 @@ let leakage_cmd =
 
 let report_cmd =
   let run experiment csv json jobs progress =
+    (* table1 and ablation have no CSV view: a usage error, raised before
+       anything is measured *)
+    let no_csv name =
+      Printf.eprintf "report %s has no --csv output (use --json)\n" name;
+      exit 124
+    in
+    (match experiment with
+     | `Table1 when csv -> no_csv "table1"
+     | `Ablation when csv -> no_csv "ablation"
+     | _ -> ());
     set_jobs jobs;
     with_progress progress (fun () ->
         match experiment with
@@ -545,7 +555,12 @@ let report_cmd =
       & info [] ~docv:"EXPERIMENT")
   in
   let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit machine-readable CSV instead of tables.")
+    Arg.(
+      value & flag
+      & info [ "csv" ]
+          ~doc:
+            "Emit machine-readable CSV instead of tables (fig8, fig9, fig10, \
+             sampling).")
   in
   Cmd.v
     (Cmd.info "report"

@@ -45,10 +45,11 @@ echo "== perf gate: quick rates vs bench/baseline.json"
 ./_build/default/bench/main.exe gate --baseline bench/baseline.json \
   --current "$out/bench.json" --tolerance 25 --min-work 100000
 
-echo "== hot-path allocation smoke: probe-free modes stay allocation-free"
-# Functional, warm, and full-detailed simulation must not allocate per
-# instruction (closure creep in the dispatch loop shows up here first);
-# only probe-attached runs are allowed to build event records.
+echo "== hot-path allocation smoke: simulation modes stay allocation-free"
+# Functional, warm, and full-detailed simulation — also with a probe
+# attached — must not allocate per instruction (closure creep in the
+# dispatch loop shows up here first); the timing model reuses one event
+# record per probe, and only what a probe itself records may allocate.
 ./_build/default/bench/hotpath.exe --iters 150 --assert-alloc
 
 echo "== sampling smoke: fibonacci, 25% coverage, -j 2"

@@ -1,24 +1,24 @@
 type uop_event = {
-  uop : Uop.t;
-  fetch : int;
-  dispatch : int;
-  issue : int;
-  complete : int;
-  commit : int;
-  bucket : Stall.bucket;
-  attributed : int;
-  mispredicted : bool;
-  dcache_miss : bool;
-  il1_line : int;
-  fetch_extra : int;
-  mem_extra : int;
+  mutable uop : Uop.t;
+  mutable fetch : int;
+  mutable dispatch : int;
+  mutable issue : int;
+  mutable complete : int;
+  mutable commit : int;
+  mutable bucket : Stall.bucket;
+  mutable attributed : int;
+  mutable mispredicted : bool;
+  mutable dcache_miss : bool;
+  mutable il1_line : int;
+  mutable fetch_extra : int;
+  mutable mem_extra : int;
 }
 
 type drain_event = {
-  reason : Uop.drain_reason;
-  spm_cycles : int;
-  start : int;
-  resume : int;
+  mutable reason : Uop.drain_reason;
+  mutable spm_cycles : int;
+  mutable start : int;
+  mutable resume : int;
 }
 
 type t = {
@@ -27,3 +27,23 @@ type t = {
 }
 
 let null = { on_uop = ignore; on_drain = ignore }
+
+let uop_event () =
+  {
+    uop = Uop.make ();
+    fetch = 0;
+    dispatch = 0;
+    issue = 0;
+    complete = 0;
+    commit = 0;
+    bucket = Stall.Base;
+    attributed = 0;
+    mispredicted = false;
+    dcache_miss = false;
+    il1_line = -1;
+    fetch_extra = 0;
+    mem_extra = 0;
+  }
+
+let drain_event () =
+  { reason = Uop.Drain_enter_secblock; spm_cycles = 0; start = 0; resume = 0 }

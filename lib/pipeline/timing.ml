@@ -354,20 +354,10 @@ let handle_control t (u : Uop.t) ~complete =
    variants must agree exactly — the sink-invisibility determinism test
    pins that the reports stay byte-identical. [track_line] is the only
    probe-conditional work and is constant-folded per caller.
-   Returns the commit cycle and leaves (f, d, iss, complete, bucket,
-   delta) observables in the scratch fields the probed caller reads. *)
-type scratch = {
-  mutable sc_fetch : int;
-  mutable sc_dispatch : int;
-  mutable sc_issue : int;
-  mutable sc_complete : int;
-  mutable sc_commit : int;
-  mutable sc_delta : int;
-  mutable sc_bucket : Stall.bucket;
-  mutable sc_dcache_miss : bool;
-}
-
-let[@inline] feed_uop_core t (u : Uop.t) ~track_line (sc : scratch) =
+   It leaves the per-stage cycles, the stall bucket and its delta in
+   [ev], the one event record each timing model reuses for every µop;
+   the probed caller fills the rest of it and hands it to the probe. *)
+let[@inline] feed_uop_core t (u : Uop.t) ~track_line (ev : Probe.uop_event) =
   let cfg = t.cfg in
   let is_load = u.Uop.cls = Instr.Cls_load in
   let is_store = u.Uop.cls = Instr.Cls_store in
@@ -466,27 +456,15 @@ let[@inline] feed_uop_core t (u : Uop.t) ~track_line (sc : scratch) =
   in
   if delta > 0 then
     t.stalls.(Stall.index bucket) <- t.stalls.(Stall.index bucket) + delta;
-  sc.sc_fetch <- f;
-  sc.sc_dispatch <- d;
-  sc.sc_issue <- iss;
-  sc.sc_complete <- complete;
-  sc.sc_commit <- c;
-  sc.sc_delta <- delta;
-  sc.sc_bucket <- bucket;
-  sc.sc_dcache_miss <- dcache_miss;
+  ev.Probe.fetch <- f;
+  ev.Probe.dispatch <- d;
+  ev.Probe.issue <- iss;
+  ev.Probe.complete <- complete;
+  ev.Probe.commit <- c;
+  ev.Probe.attributed <- delta;
+  ev.Probe.bucket <- bucket;
+  ev.Probe.dcache_miss <- dcache_miss;
   handle_control t u ~complete
-
-let make_scratch () =
-  {
-    sc_fetch = 0;
-    sc_dispatch = 0;
-    sc_issue = 0;
-    sc_complete = 0;
-    sc_commit = 0;
-    sc_delta = 0;
-    sc_bucket = Stall.Base;
-    sc_dcache_miss = false;
-  }
 
 let feed_drain_core t ~spm_cycles =
   t.s_drains <- t.s_drains + 1;
@@ -498,44 +476,39 @@ let feed_drain_core t ~spm_cycles =
   break_fetch_group t
 
 (* The probe-free specialization: no option branch, no probe-only
-   observable tracking, no event construction. *)
+   observable tracking; its event record is scratch nobody reads. *)
 let feed_fn_noprobe t =
-  let sc = make_scratch () in
-  fun (ev : Uop.event) ->
-    match ev with
-    | Uop.Commit u -> feed_uop_core t u ~track_line:false sc
+  let ev = Probe.uop_event () in
+  fun (e : Uop.event) ->
+    match e with
+    | Uop.Commit u -> feed_uop_core t u ~track_line:false ev
     | Uop.Drain { spm_cycles; reason = _ } -> feed_drain_core t ~spm_cycles
 
-(* The probed specialization additionally reports each µop and drain. The
-   probe is passive: nothing it observes feeds back into a cycle. *)
+(* The probed specialization additionally reports each µop and drain,
+   refilling one event record of each kind per timing model (the reuse
+   contract of [Probe]). The probe is passive: nothing it observes feeds
+   back into a cycle. *)
 let feed_fn_probe t (p : Probe.t) =
-  let sc = make_scratch () in
-  fun (ev : Uop.event) ->
-    match ev with
+  let ev = Probe.uop_event () in
+  let dr = Probe.drain_event () in
+  fun (e : Uop.event) ->
+    match e with
     | Uop.Commit u ->
       let mispredicts_before = t.s_mispredicts in
-      feed_uop_core t u ~track_line:true sc;
-      p.Probe.on_uop
-        {
-          Probe.uop = u;
-          fetch = sc.sc_fetch;
-          dispatch = sc.sc_dispatch;
-          issue = sc.sc_issue;
-          complete = sc.sc_complete;
-          commit = sc.sc_commit;
-          bucket = sc.sc_bucket;
-          attributed = sc.sc_delta;
-          mispredicted = t.s_mispredicts > mispredicts_before;
-          dcache_miss = sc.sc_dcache_miss;
-          il1_line = t.c_il1_line;
-          fetch_extra = t.c_fetch_extra;
-          mem_extra = t.c_mem_extra;
-        }
+      feed_uop_core t u ~track_line:true ev;
+      ev.Probe.uop <- u;
+      ev.Probe.mispredicted <- t.s_mispredicts > mispredicts_before;
+      ev.Probe.il1_line <- t.c_il1_line;
+      ev.Probe.fetch_extra <- t.c_fetch_extra;
+      ev.Probe.mem_extra <- t.c_mem_extra;
+      p.Probe.on_uop ev
     | Uop.Drain { spm_cycles; reason } ->
-      let start = t.max_commit in
+      dr.Probe.start <- t.max_commit;
       feed_drain_core t ~spm_cycles;
-      p.Probe.on_drain
-        { Probe.reason; spm_cycles; start; resume = t.stall_until }
+      dr.Probe.reason <- reason;
+      dr.Probe.spm_cycles <- spm_cycles;
+      dr.Probe.resume <- t.stall_until;
+      p.Probe.on_drain dr
 
 let create ?config ?predictor ?warm ?store_slots ?probe () =
   let t = make ?config ?predictor ?warm ?store_slots () in

@@ -47,9 +47,11 @@ val create :
 
     [probe] receives one {!Probe.uop_event} per committed µop and one
     {!Probe.drain_event} per drain. It is passive: attaching a probe
-    cannot change any cycle assignment, and without one no event is
-    allocated (the feed path is staged at [create] into probe-attached
-    and probe-free variants). *)
+    cannot change any cycle assignment. The feed path is staged at
+    [create] into probe-attached and probe-free variants; the attached
+    one refills a single event record of each kind for every callback
+    (see the reuse contract in {!Probe}), so neither allocates per
+    µop. *)
 
 val feed : t -> Uop.event -> unit
 (** Process the next event in commit order. *)

@@ -8,9 +8,19 @@
     Capture rides the {!Sempe_pipeline.Probe} interface: a witness is
     passive (nothing it records ever feeds back into a cycle assignment)
     and free when detached (the timing model emits no events without a
-    probe). Streams store plain ints — every entry is a
-    [(pc, structure, detail)] triple — so recording a run costs a few
-    array writes per committed µop. *)
+    probe).
+
+    Streams store plain ints: every entry is four words,
+    [(pc, structure, detail, cycle)]. Each stream lives in fixed chunks
+    rather than one doubling array. Its first chunk starts at 256 words
+    and doubles up to 8192 words (64 KB); after that a full chunk is
+    never copied and the next entries go into a new 8192-word chunk. A
+    short run costs no more than one small array, a long run copies
+    nothing past its first 64 KB, and every chunk stays below glibc's
+    128 KB mmap threshold, so freed chunks are reused from the heap
+    rather than page-faulted in anew. Chunks are [Bytes] (one 64-bit
+    word per int), which the major GC never scans, and they go straight
+    to the major heap, where [Gc.minor_words] does not count them. *)
 
 type t
 

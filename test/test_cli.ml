@@ -94,6 +94,16 @@ let sim_table =
       Ignore_output );
     ("report rejects an unknown experiment", [ "report"; "bogus" ], 124,
      Ignore_output);
+    (* table1 and ablation have no CSV view; --csv is rejected before any
+       measurement instead of silently printing the tables *)
+    ( "report table1 rejects --csv",
+      [ "report"; "table1"; "--csv" ],
+      124,
+      Stderr_prefix "report table1 has no --csv output" );
+    ( "report ablation rejects --csv",
+      [ "report"; "ablation"; "--csv" ],
+      124,
+      Stderr_prefix "report ablation has no --csv output" );
     (* The serving surface follows the same exit-code convention: bad
        addresses, unknown ops and unknown flags all exit 124 before any
        connection is attempted. *)

@@ -417,6 +417,37 @@ let test_tee_sink () =
   Alcotest.(check int) "left sees all uops" r.Timing.instructions (Profile.uops p1);
   Alcotest.(check int) "right sees all uops" r.Timing.instructions (Profile.uops p2)
 
+(* The probe contract: every committed µop and every drain reaches each
+   side of a tee exactly once, even though the timing model hands both
+   sides the same reused event record, and a second consumer on the bus
+   leaves the first one's output unchanged. *)
+let test_probe_contract () =
+  let uops = ref 0 and drains = ref 0 in
+  let counter =
+    Sink.of_probe
+      {
+        Sempe_pipeline.Probe.on_uop = (fun _ -> incr uops);
+        on_drain = (fun _ -> incr drains);
+      }
+  in
+  let alone = Profile.create () and teed = Profile.create () in
+  ignore (rsa_outcome ~sink:(Sink.of_probe (Profile.probe alone)) Scheme.Sempe);
+  let r =
+    (rsa_outcome
+       ~sink:(Sink.tee (Sink.of_probe (Profile.probe teed)) counter)
+       Scheme.Sempe)
+      .Run.timing
+  in
+  Alcotest.(check int) "one uop callback per instruction"
+    r.Timing.instructions !uops;
+  Alcotest.(check int) "one drain callback per drain" r.Timing.drains !drains;
+  Alcotest.(check bool) "the run drains" true (r.Timing.drains > 0);
+  Alcotest.(check string) "profile render unchanged by a second sink"
+    (Profile.render alone) (Profile.render teed);
+  Alcotest.(check string) "profile json unchanged by a second sink"
+    (Json.to_string (Profile.to_json alone))
+    (Json.to_string (Profile.to_json teed))
+
 (* ---- report JSON ---- *)
 
 let test_report_json () =
@@ -562,6 +593,8 @@ let tests =
       test_perfetto_trace_structure;
     Alcotest.test_case "jsonl trace structure" `Quick test_jsonl_trace_structure;
     Alcotest.test_case "tee sink" `Quick test_tee_sink;
+    Alcotest.test_case "probe contract through a tee" `Quick
+      test_probe_contract;
     Alcotest.test_case "report json" `Quick test_report_json;
     qtest prop_report_self_consistent;
     Alcotest.test_case "strict reader: nesting depth" `Quick test_strict_depth;

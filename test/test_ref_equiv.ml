@@ -10,6 +10,11 @@
    behavior: per-operation outcomes, per-branch predictions,
    resident-tag listings, statistics counters, and state signatures.
 
+   The chunked attacker-view witness ([lib/security/witness.ml]) is
+   checked the same way against [Ref_witness], the flat doubling-array
+   witness it replaced: both are tee'd off one probe bus, so they see
+   the same events, and must agree on every stream entry.
+
    The streams are derived from a generated PRNG seed rather than a
    generated operation list: QCheck shrinks the seed (useless) but can
    still vary it widely, and a seed buys a million-op stream without a
@@ -156,8 +161,153 @@ let tage_equiv_prop seed =
     tage_configs;
   true
 
+(* ---- chunked witness vs Ref_witness ---- *)
+
+module Witness = Sempe_security.Witness
+module Workload = Sempe_workloads.Workload
+module Harness = Sempe_workloads.Harness
+module Scheme = Sempe_core.Scheme
+module Sink = Sempe_obs.Sink
+module Gen = Sempe_fuzz.Gen
+
+let failf fmt = Printf.ksprintf failwith fmt
+
+(* One run with the production and the reference witness on the same
+   probe bus. *)
+let witness_pair run =
+  let w = Witness.create () and r = Ref_witness.create () in
+  run
+    (Sink.tee
+       (Sink.of_probe (Witness.probe w))
+       (Sink.of_probe (Ref_witness.probe r)));
+  (w, r)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let check_witness ~ctx (w, r) =
+  List.iter
+    (fun s ->
+      let name = Witness.stream_name s in
+      let n = Ref_witness.length r s in
+      if Witness.length w s <> n then
+        failf "%s %s: length %d <> reference %d" ctx name (Witness.length w s)
+          n;
+      for i = 0 to n - 1 do
+        if Witness.entry w s i <> Ref_witness.entry r s i then
+          failf "%s %s: entry %d diverges from the reference" ctx name i;
+        if Witness.cycle_at w s i <> Ref_witness.cycle_at r s i then
+          failf "%s %s: cycle_at %d diverges from the reference" ctx name i
+      done;
+      List.iter
+        (fun i ->
+          if not (raises_invalid (fun () -> Witness.entry w s i)) then
+            failf "%s %s: entry %d does not raise" ctx name i;
+          if not (raises_invalid (fun () -> Witness.cycle_at w s i)) then
+            failf "%s %s: cycle_at %d does not raise" ctx name i)
+        [ -1; n ])
+    Witness.streams
+
+let check_divergences ~ctx pairs =
+  List.iteri
+    (fun i (wa, ra) ->
+      List.iteri
+        (fun j (wb, rb) ->
+          if i < j then
+            List.iter
+              (fun s ->
+                if
+                  Witness.first_divergence wa wb s
+                  <> Ref_witness.first_divergence ra rb s
+                then
+                  failf "%s runs %d/%d %s: first_divergence differs" ctx i j
+                    (Witness.stream_name s))
+              Witness.streams)
+        pairs)
+    pairs
+
+(* Two secret variants of each paper workload under SeMPE and the
+   baseline. The SeMPE fib W=4 trace holds ~19k events, past three
+   8192-word (2048-event) chunks. *)
+let witness_workloads =
+  [
+    ("rsa", [ Workload.Rsa { key = 0x1234 }; Workload.Rsa { key = 0xa5a5 } ]);
+    ( "fib W=4",
+      List.map
+        (fun leaf ->
+          Workload.Microbench
+            { kernel = "fibonacci"; width = 4; iters = 3; leaf })
+        [ 1; 5 ] );
+    ( "quicksort",
+      List.map
+        (fun leaf ->
+          Workload.Microbench
+            { kernel = "quicksort"; width = 4; iters = 3; leaf })
+        [ 1; 5 ] );
+    ( "djpeg 8 blocks",
+      List.map
+        (fun seed -> Workload.Djpeg { format = "PPM"; blocks = 8; seed })
+        [ 1; 2 ] );
+  ]
+
+let test_witness_workloads () =
+  List.iter
+    (fun (label, variants) ->
+      List.iter
+        (fun scheme ->
+          let ctx = label ^ " " ^ Scheme.name scheme in
+          let pairs =
+            List.map
+              (fun w ->
+                let built = Workload.build scheme w in
+                witness_pair (fun sink ->
+                    ignore (Workload.run ~sink built w)))
+              variants
+          in
+          List.iter (check_witness ~ctx) pairs;
+          check_divergences ~ctx pairs;
+          if label = "fib W=4" && scheme = Scheme.Sempe then
+            List.iter
+              (fun (w, _) ->
+                Alcotest.(check bool) (ctx ^ " trace spans 3+ chunks") true
+                  (Witness.length w Witness.Trace > 3 * 2048))
+              pairs)
+        [ Scheme.Sempe; Scheme.Baseline ])
+    witness_workloads
+
+let test_witness_empty () =
+  check_witness ~ctx:"empty" (Witness.create (), Ref_witness.create ())
+
+let witness_equiv_prop seed =
+  let case = Gen.generate seed in
+  List.iter
+    (fun scheme ->
+      let built = Harness.build scheme case.Gen.prog in
+      let pairs =
+        List.map
+          (fun secrets ->
+            witness_pair (fun sink ->
+                ignore
+                  (Harness.run ~mem_words:16384 ~globals:secrets
+                     ~arrays:[ (Gen.array_name, case.Gen.fill) ]
+                     ~sink built)))
+          case.Gen.secrets
+      in
+      let ctx = Printf.sprintf "seed %d %s" seed (Scheme.name scheme) in
+      List.iter (check_witness ~ctx) pairs;
+      check_divergences ~ctx pairs)
+    [ Scheme.Sempe; Scheme.Baseline ];
+  true
+
 let tests =
   [
+    Alcotest.test_case "chunked witness equals the reference on the workloads"
+      `Quick test_witness_workloads;
+    Alcotest.test_case "empty witness rejects every index" `Quick
+      test_witness_empty;
+    qtest
+      (QCheck.Test.make ~name:"chunked witness equals the reference (fuzz)"
+         ~count:12 QCheck.small_nat witness_equiv_prop);
     qtest
       (QCheck.Test.make ~name:"packed cache equals record-based reference"
          ~count:4 QCheck.small_nat cache_equiv_prop);
